@@ -15,7 +15,6 @@ from repro.channel.impairments import (
     NoLoss,
     ScriptedLoss,
 )
-from repro.channel.sampling import BlockRandom, maybe_block, numpy_available
 
 __all__ = [
     "Channel",
@@ -30,7 +29,4 @@ __all__ = [
     "BernoulliLoss",
     "GilbertElliottLoss",
     "ScriptedLoss",
-    "BlockRandom",
-    "maybe_block",
-    "numpy_available",
 ]

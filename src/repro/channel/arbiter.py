@@ -15,9 +15,8 @@ channel's ``send``:
 
 * a **token bucket** models link capacity: ``rate`` tokens (frames)
   accrue per unit of *virtual* time up to a ``burst`` ceiling, refilled
-  lazily from the simulator clock (no periodic tick events — both
-  engines see the identical schedule of wake-ups, so decision traces
-  stay engine-independent and seeded-deterministic);
+  lazily from the simulator clock (no periodic tick events, so
+  decision traces stay seeded-deterministic);
 * each flow owns a **bounded droptail queue**: frames submitted while
   the flow's queue is at ``queue_limit`` are dropped at the tail and
   counted (never silently), exactly like a store-and-forward output
@@ -297,7 +296,7 @@ class LinkArbiter:
     Determinism: refill is a pure function of the virtual clock, the
     scheduler state is a pure function of the submit/grant history, and
     wake-ups are plain simulator events — so for a fixed seed the grant
-    schedule is identical on the heap and calendar-queue engines.
+    schedule is identical run to run.
     """
 
     def __init__(

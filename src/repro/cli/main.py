@@ -97,12 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(like REPRO_FLOWS=N; currently honoured by e15)",
     )
     run_p.add_argument(
-        "--engine", default=None, choices=("default", "fast"),
-        help="event-loop implementation: 'fast' selects the calendar-queue "
-        "engine with batched drain and block-sampled channel randomness "
-        "(like REPRO_ENGINE=fast; decision-trace equivalent)",
-    )
-    run_p.add_argument(
         "--sched", default=None, choices=("fifo", "wrr", "drr"),
         help="pin the arbiter experiments to one per-flow scheduler "
         "(like REPRO_SCHED=drr; currently honoured by e17)",
@@ -132,14 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the observability off-vs-on overhead measurements",
     )
     perf_p.add_argument(
-        "--engine", default=None, choices=("default", "fast"),
-        help="event-loop implementation for the --experiments timings "
-        "(micros always measure both; like REPRO_ENGINE=fast)",
-    )
-    perf_p.add_argument(
         "--profile", action="store_true",
         help="cProfile the transfer micro and dump the hottest functions "
-        "to results/profile/ (one .prof + .txt per engine mode)",
+        "to results/profile/ (transfer.prof + transfer.txt)",
     )
 
     obs_p = sub.add_parser(
@@ -229,11 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stabilization verdict)",
     )
     tr.add_argument(
-        "--engine", default="default", choices=("default", "fast"),
-        help="event-loop implementation (fast = calendar queue + batched "
-        "drain + block-sampled channel randomness)",
-    )
-    tr.add_argument(
         "--causal", action="store_true",
         help="record the causal event graph and flight-recorder ring; "
         "an anomalous run dumps results/obs/flight/transfer.jsonl",
@@ -309,7 +293,6 @@ def _cmd_run(
     cache: bool = False,
     obs: bool = False,
     flows: Optional[int] = None,
-    engine: Optional[str] = None,
     causal: bool = False,
     sched: Optional[str] = None,
 ) -> int:
@@ -327,8 +310,6 @@ def _cmd_run(
         os.environ["REPRO_OBS"] = "1"
     if flows is not None:
         os.environ["REPRO_FLOWS"] = str(flows)
-    if engine is not None:
-        os.environ["REPRO_ENGINE"] = engine
     if causal:
         os.environ["REPRO_CAUSAL"] = "1"
     if sched is not None:
@@ -425,7 +406,6 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
             trace=args.trace > 0,
             max_time=1_000_000.0,
             causal=args.causal,
-            engine=args.engine,
             arbiter=arbiter,
         )
         print(session.summary())
@@ -473,7 +453,6 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
         fault_plan=fault_plan,
         monitor_invariants=fault_plan is not None,
         causal=args.causal,
-        engine=args.engine,
     )
     print(result.summary())
     _print_causal(result)
@@ -524,7 +503,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    import os
     import time
 
     from repro.perf.bench import (
@@ -536,8 +514,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     mode = "quick" if args.scale <= 1 else "full"
     output = args.output if args.output else f"BENCH_{mode}.json"
-    if args.engine:
-        os.environ["REPRO_ENGINE"] = args.engine
 
     if args.profile:
         print(f"profiling transfer micro (scale={args.scale}) ...")
@@ -733,7 +709,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "run":
         return _cmd_run(
             args.experiment, args.quick, args.jobs, args.cache, args.obs,
-            args.flows, args.engine, args.causal, args.sched,
+            args.flows, args.causal, args.sched,
         )
     if args.command == "perf":
         return _cmd_perf(args)

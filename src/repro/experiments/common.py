@@ -32,7 +32,6 @@ from repro.perf.sweep import (
     RunConfig,
     SweepRunner,
     causal_enabled_by_env,
-    engine_from_env,
     obs_enabled_by_env,
 )
 from repro.sim.runner import LinkSpec, TransferResult, run_transfer
@@ -151,19 +150,11 @@ def run_protocol(
     reverse: LinkSpec,
     seed: int,
     max_time: Optional[float] = None,
-    engine: Optional[str] = None,
     **protocol_kwargs,
 ) -> TransferResult:
-    """Build the named protocol pair, drive it greedily, return the result.
-
-    ``engine=None`` resolves against ``REPRO_ENGINE`` (the CLI's
-    ``--engine`` flag), so every experiment runs on either event loop
-    without code changes.
-    """
+    """Build the named protocol pair, drive it greedily, return the result."""
     from repro.protocols.registry import make_pair  # local: avoid cycles
 
-    if engine is None:
-        engine = engine_from_env()
     sender, receiver = make_pair(name, window=window, **protocol_kwargs)
     return run_transfer(
         sender,
@@ -173,7 +164,6 @@ def run_protocol(
         reverse=reverse,
         seed=seed,
         max_time=max_time,
-        engine=engine,
     )
 
 
@@ -194,7 +184,6 @@ def protocol_config(
     fault_plan=None,
     obs: Optional[bool] = None,
     flows: int = 1,
-    engine: Optional[str] = None,
     causal: Optional[bool] = None,
     link_rate: Optional[float] = None,
     link_burst: float = 8.0,
@@ -217,15 +206,10 @@ def protocol_config(
     per-flow payload count and the result carries per-flow rows plus a
     Jain fairness index.
 
-    ``engine=None`` resolves against ``REPRO_ENGINE`` (the CLI's
-    ``--engine`` flag); like ``obs``, the resolved value is part of the
-    config and its cache key, so fast-engine results never masquerade
-    as default-engine ones.
-
     ``causal=None`` resolves against ``REPRO_CAUSAL`` (the CLI's
     ``--causal`` flag): the causal flight recorder rides every cell of
     the grid, and anomalous cells leave ``results/obs/flight/`` dumps.
-    The resolved value joins the cache key like ``obs``/``engine``.
+    The resolved value joins the cache key like ``obs``.
 
     ``link_rate`` (finite) puts the send-side link arbiter
     (:mod:`repro.channel.arbiter`) in front of the forward channel:
@@ -237,8 +221,6 @@ def protocol_config(
     """
     if obs is None:
         obs = obs_enabled_by_env()
-    if engine is None:
-        engine = engine_from_env()
     if causal is None:
         causal = causal_enabled_by_env()
     if flow_windows is not None:
@@ -260,7 +242,6 @@ def protocol_config(
         protocol_kwargs=protocol_kwargs,
         obs=obs,
         flows=flows,
-        engine=engine,
         causal=causal,
         link_rate=link_rate,
         link_burst=link_burst,

@@ -1,9 +1,9 @@
 """Determinism & contract static analyzer (``blockack lint``).
 
 Everything this reproduction promises — bit-identical decision traces
-between the heap and calendar-queue engines, byte-identical
-serial/parallel/cached sweep results, ``PYTHONHASHSEED``-independent
-runs — used to be enforced only *dynamically*, by golden traces and
+for a given seed, byte-identical serial/parallel/cached sweep results,
+``PYTHONHASHSEED``-independent runs — used to be enforced only
+*dynamically*, by golden traces and
 fuzz tests.  This package is the static analogue: an AST-based lint
 pass that proves the determinism and seam contracts hold *by
 construction*, on every file, on every PR.
@@ -16,10 +16,10 @@ Three rule families (see :mod:`repro.lint.registry` for the catalogue):
 * **P-series (parallelism safety)** — functions crossing the
   :mod:`repro.perf` process-pool boundary must be top-level and
   picklable; no lambdas/closures or module-global mutation in workers.
-* **S-series (seam contracts)** — cross-artifact checks: the two
-  engines expose identical public surfaces, the ``timer_observer``
-  seam stays duck-safe, and every obs record field emitted anywhere in
-  the codebase exists in the pinned :mod:`repro.obs.schema`.
+* **S-series (seam contracts)** — cross-artifact checks: the
+  ``timer_observer`` seam stays duck-safe, and every obs record field
+  emitted anywhere in the codebase exists in the pinned
+  :mod:`repro.obs.schema`.
 
 Findings can be silenced inline with ``# lint: ignore[RULE]`` (see
 :mod:`repro.lint.suppress`); the CLI (``blockack lint`` or ``python -m

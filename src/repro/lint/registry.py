@@ -10,9 +10,8 @@ scopes exist:
   findings for that file.  All D- and P-series rules are file rules.
 * ``scope = "project"`` — ``check(project)`` receives the whole
   :class:`~repro.lint.analyzer.ProjectContext` (every parsed file) and
-  may correlate across artifacts.  The S-series seam contracts are
-  project rules: engine surface parity and schema conformance cannot
-  be decided one file at a time.
+  may correlate across artifacts.  Obs schema conformance (S303) is a
+  project rule: it cannot be decided one file at a time.
 
 Adding a rule (see DESIGN §15 for the policy):
 
@@ -41,7 +40,7 @@ _RULE_ID = re.compile(r"^[DPS]\d{3}$")
 class Rule:
     """Base class for lint rules.  Subclass, set the metadata, register."""
 
-    #: unique id: family letter + 3 digits (``D101``, ``P201``, ``S301``)
+    #: unique id: family letter + 3 digits (``D101``, ``P201``, ``S302``)
     id: str = ""
     #: one-line imperative summary ("do not call wall-clock time ...")
     summary: str = ""

@@ -1,7 +1,7 @@
 """D-series rules: determinism by construction.
 
 The reproduction's headline claims — decision traces bit-identical
-across engines, sweep results byte-identical across serial/parallel/
+for a given seed, sweep results byte-identical across serial/parallel/
 cached execution, everything independent of ``PYTHONHASHSEED`` — all
 reduce to a handful of source-level disciplines.  Each rule here pins
 one of them:
@@ -9,7 +9,7 @@ one of them:
 * :class:`WallClockRule` (D101) — simulated time comes from the
   simulator, never the host clock.
 * :class:`GlobalRandomRule` (D102) — randomness flows through a seeded
-  ``random.Random`` / ``BlockRandom`` instance, never the module-level
+  ``random.Random`` instance, never the module-level
   shared state.
 * :class:`SetIterationRule` (D103) — ``set`` iteration order is
   ``PYTHONHASHSEED``-dependent; anything iterated must be sorted (or
@@ -24,7 +24,7 @@ one of them:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set
 
 from repro.lint.analyzer import FileContext
 from repro.lint.astutil import dotted_name, terminal_name, walk_scope
@@ -150,7 +150,7 @@ class GlobalRandomRule(Rule):
         "The shared module-level RNG is invisible global state: any "
         "import-order change or unrelated caller perturbs the stream, "
         "and parallel sweep workers each re-seed it differently. Every "
-        "draw must come from a Random/BlockRandom instance owned by the "
+        "draw must come from a Random instance owned by the "
         "run config, so (config, seed) reproduces the stream exactly."
     )
 
@@ -341,7 +341,7 @@ class FloatTimeEqualityRule(Rule):
     rationale = (
         "Virtual timestamps accumulate by float addition, so equality "
         "is representation-dependent: two paths to 'the same' time can "
-        "differ in the last ulp and silently diverge the two engines. "
+        "differ in the last ulp and silently reorder the event queue. "
         "Exact equality is only safe against whole-number sentinels "
         "(0.0, a configured period) that were never accumulated."
     )
@@ -394,7 +394,7 @@ class IdHashOrderRule(Rule):
         "id() is a memory address and hash() is salted by "
         "PYTHONHASHSEED: both produce a different total order every "
         "process. Ordering ties must break on stable payload (seq, "
-        "time, name), like the engines' (time, seq) event keys."
+        "time, name), like the engine's (time, seq) event keys."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

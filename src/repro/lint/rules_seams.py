@@ -1,15 +1,11 @@
 """S-series rules: cross-artifact seam contracts.
 
-The determinism story spans files: the two engines must stay
-swappable, the observability seams must stay duck-safe (so the
-uninstrumented hot loops never pay for them), and everything exported
-to ``.jsonl`` must match the pinned schema that CI, ``obs diff`` and
-external tooling parse.  These rules correlate artifacts that no
-per-file linter can see together:
+The determinism story spans files: the observability seams must stay
+duck-safe (so the uninstrumented hot loops never pay for them), and
+everything exported to ``.jsonl`` must match the pinned schema that CI,
+``obs diff`` and external tooling parse.  These rules correlate
+artifacts that no per-file linter can see together:
 
-* :class:`EngineSurfaceParityRule` (S301) — ``Simulator`` and
-  ``FastSimulator`` expose identical public surfaces (names and
-  signatures), so ``engine=fast`` is always a drop-in.
 * :class:`TimerSeamRule` (S302) — the ``timer_observer`` seam is only
   ever invoked via ``getattr(sim, "timer_observer", None)`` + a None
   check, never as a direct attribute call.
@@ -21,7 +17,7 @@ per-file linter can see together:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.lint.analyzer import FileContext, ProjectContext
 from repro.lint.astutil import str_keys, walk_scope
@@ -29,116 +25,11 @@ from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
 __all__ = [
-    "EngineSurfaceParityRule",
     "TimerSeamRule",
     "ObsSchemaConformanceRule",
 ]
 
-_ENGINE_MODULE = "repro.sim.engine"
-_ENGINE_CLASSES = ("Simulator", "FastSimulator")
 _SCHEMA_MODULE = "repro.obs.schema"
-
-
-# ---------------------------------------------------------------------------
-# S301: engine public-surface parity
-# ---------------------------------------------------------------------------
-
-
-def _find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def _public_surface(cls: ast.ClassDef) -> Dict[str, Optional[Tuple[str, ...]]]:
-    """Public attribute name -> positional-arg names (None for data attrs).
-
-    Methods map to their argument names (minus ``self``), properties to
-    an empty tuple, and class-level data attributes (the
-    ``timer_observer`` seam default) to ``None``.
-    """
-    surface: Dict[str, Optional[Tuple[str, ...]]] = {}
-    for node in cls.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name.startswith("_"):
-                continue
-            is_property = any(
-                isinstance(dec, ast.Name) and dec.id == "property"
-                for dec in node.decorator_list
-            )
-            if is_property:
-                surface[node.name] = ()
-            else:
-                args = tuple(
-                    arg.arg
-                    for arg in (*node.args.posonlyargs, *node.args.args)
-                )
-                surface[node.name] = args[1:] if args[:1] == ("self",) else args
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and not target.id.startswith("_"):
-                    surface[target.id] = None
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name) and not node.target.id.startswith("_"):
-                surface[node.target.id] = None
-    return surface
-
-
-@register
-class EngineSurfaceParityRule(Rule):
-    id = "S301"
-    scope = "project"
-    summary = "Simulator and FastSimulator must expose identical public surfaces"
-    rationale = (
-        "engine=fast is documented as a drop-in: runner, host, timers "
-        "and instruments talk to whichever engine the config selects "
-        "through one duck-typed surface. A public method, property or "
-        "seam attribute present on one engine and not the other (or "
-        "with different argument names) is silent drift that only "
-        "explodes when a caller flips engines."
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        ctx = project.get_module(_ENGINE_MODULE)
-        if ctx is None:
-            return
-        classes = {}
-        for name in _ENGINE_CLASSES:
-            cls = _find_class(ctx.tree, name)
-            if cls is None:
-                yield self.finding(
-                    ctx.path, 1, 0,
-                    f"engine module no longer defines `{name}`; the "
-                    "engine-parity contract cannot be checked",
-                )
-                return
-            classes[name] = cls
-        base_name, fast_name = _ENGINE_CLASSES
-        base = _public_surface(classes[base_name])
-        fast = _public_surface(classes[fast_name])
-        for missing in sorted(set(base) - set(fast)):
-            yield self.finding(
-                ctx.path, classes[fast_name].lineno, classes[fast_name].col_offset,
-                f"`{fast_name}` is missing public attribute `{missing}` "
-                f"present on `{base_name}`",
-            )
-        for extra in sorted(set(fast) - set(base)):
-            yield self.finding(
-                ctx.path, classes[base_name].lineno, classes[base_name].col_offset,
-                f"`{base_name}` is missing public attribute `{extra}` "
-                f"present on `{fast_name}`",
-            )
-        for name in sorted(set(base) & set(fast)):
-            sig_a, sig_b = base[name], fast[name]
-            if sig_a is not None and sig_b is not None and sig_a != sig_b:
-                yield self.finding(
-                    ctx.path, classes[fast_name].lineno,
-                    classes[fast_name].col_offset,
-                    f"`{name}` signatures diverge between engines: "
-                    f"{base_name}({', '.join(sig_a)}) vs "
-                    f"{fast_name}({', '.join(sig_b)})",
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +42,11 @@ class TimerSeamRule(Rule):
     id = "S302"
     summary = "invoke the timer_observer seam only via getattr(sim, 'timer_observer', None)"
     rationale = (
-        "The seam defaults to None on both engines and is swapped in "
-        "per run; FastSimulator is __slots__-bound. Direct attribute "
-        "invocation (`sim.timer_observer(op, t)`) crashes on every "
-        "unobserved run and couples callers to one engine's layout. "
-        "The contract is fetch-with-default then None-check, which "
+        "The seam defaults to None on Simulator and is swapped in "
+        "per run, and Timer also runs on duck-typed sims that do not "
+        "define it. Direct attribute invocation "
+        "(`sim.timer_observer(op, t)`) crashes on every unobserved run "
+        "and couples callers to one simulator's layout. The contract is fetch-with-default then None-check, which "
         "keeps the uninstrumented hot path allocation- and branch-free."
     )
 

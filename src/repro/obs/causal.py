@@ -9,9 +9,8 @@ into a node of a per-seq causal graph with parent edges (timer-fire →
 retransmit → delivery).  Nodes come from the existing instrument seams
 only (the trace-recorder tee, channel observers, the controller
 instruments duck-type, the fault-plan observer, and the timers' sim-level
-observer), so the stream is identical under the heap and calendar-queue
-engines: both produce bit-identical decision traces, and every hook here
-fires synchronously inside the same callbacks.
+observer), and every hook here fires synchronously inside the callback
+that caused it, so recording never perturbs the decision trace.
 
 Three products sit on the graph:
 
@@ -420,9 +419,9 @@ class CausalRecorder:
     def timer_observer(self):
         """The sim-level timer hook (``sim.timer_observer``).
 
-        Both engines expose the attribute; :class:`repro.sim.timers.Timer`
-        invokes it synchronously from ``start``/``stop``/``_fire``, so
-        the arm/cancel/fire stream is identical across engines.
+        :class:`repro.sim.timers.Timer` invokes it synchronously from
+        ``start``/``stop``/``_fire``, so the arm/cancel/fire stream
+        follows the simulator's event order exactly.
         """
         sim = self._sim
         ring_append = self._ring_append

@@ -58,10 +58,10 @@ def _best_rate(work: Callable[[], int], repeats: int) -> float:
     return best
 
 
-def _engine_chain(n: int, engine: str = "default") -> int:
-    from repro.sim.engine import make_simulator
+def _engine_chain(n: int) -> int:
+    from repro.sim.engine import Simulator
 
-    sim = make_simulator(engine)
+    sim = Simulator()
     count = [0]
 
     def tick() -> None:
@@ -74,10 +74,10 @@ def _engine_chain(n: int, engine: str = "default") -> int:
     return count[0]
 
 
-def _engine_fanout(n: int, engine: str = "default") -> int:
-    from repro.sim.engine import make_simulator
+def _engine_fanout(n: int) -> int:
+    from repro.sim.engine import Simulator
 
-    sim = make_simulator(engine)
+    sim = Simulator()
 
     def noop() -> None:
         pass
@@ -88,18 +88,18 @@ def _engine_fanout(n: int, engine: str = "default") -> int:
     return n
 
 
-def _fanout_drain_rate(n: int, repeats: int, engine: str = "default") -> float:
+def _fanout_drain_rate(n: int, repeats: int) -> float:
     """Events/sec for the *drain phase only* of the fan-out workload.
 
     Scheduling happens outside the timed region, so this isolates the
-    pull-fire loop — the part the calendar queue's batch drain speeds up
-    — from enqueue cost (which :func:`_engine_fanout` measures mixed in).
+    pop-fire loop from enqueue cost (which :func:`_engine_fanout`
+    measures mixed in).
     """
-    from repro.sim.engine import make_simulator
+    from repro.sim.engine import Simulator
 
     best = 0.0
     for _ in range(max(1, repeats)):
-        sim = make_simulator(engine)
+        sim = Simulator()
 
         def noop() -> None:
             pass
@@ -114,21 +114,20 @@ def _fanout_drain_rate(n: int, repeats: int, engine: str = "default") -> float:
     return best
 
 
-def _channel_transit(n: int, engine: str = "default") -> int:
+def _channel_transit(n: int) -> int:
     import random
 
     from repro.channel.channel import Channel
     from repro.channel.delay import UniformDelay
     from repro.channel.impairments import BernoulliLoss
-    from repro.channel.sampling import maybe_block
-    from repro.sim.engine import make_simulator
+    from repro.sim.engine import Simulator
 
-    sim = make_simulator(engine)
+    sim = Simulator()
     channel = Channel(
         sim,
         delay=UniformDelay(0.5, 1.5),
         loss=BernoulliLoss(0.05),
-        rng=maybe_block(random.Random(1), engine),
+        rng=random.Random(1),
     )
     channel.connect(lambda message: None)
     for index in range(n):
@@ -160,7 +159,6 @@ def _transfer(
     total: int,
     obs: bool = False,
     causal: bool = False,
-    engine: str = "default",
 ) -> Tuple[int, float]:
     """One end-to-end block-ack transfer; returns (events, throughput)."""
     from repro.channel.delay import UniformDelay
@@ -181,7 +179,6 @@ def _transfer(
         max_time=1_000_000.0,
         obs=obs,
         causal=causal,
-        engine=engine,
     )
     assert result.completed and result.in_order
     return result.delivered, result.throughput
@@ -210,13 +207,8 @@ def run_microbenchmarks(scale: int = 1, repeats: int = 3) -> Dict[str, float]:
     """Measure the hot paths; returns ``{metric: rate}`` (higher=better).
 
     ``scale`` multiplies every workload size (1 is the quick/CI size).
-
-    Unsuffixed engine/channel/transfer keys measure the default
-    (binary-heap) engine — their semantics are unchanged from before the
-    fast engine existed, so baselines stay comparable.  ``*_fast_*``
-    twins measure the same workload on the calendar-queue engine; the
-    ``*_drain_*`` pair isolates the fan-out drain phase (scheduling
-    untimed), which is where batch draining pays off.
+    ``engine_fanout_drain_*`` isolates the fan-out drain phase
+    (scheduling untimed).
     """
     n_events = 100_000 * scale
     n_msgs = 20_000 * scale
@@ -226,33 +218,18 @@ def run_microbenchmarks(scale: int = 1, repeats: int = 3) -> Dict[str, float]:
         "engine_chain_events_per_sec": _best_rate(
             lambda: _engine_chain(n_events), repeats
         ),
-        "engine_chain_fast_events_per_sec": _best_rate(
-            lambda: _engine_chain(n_events, engine="fast"), repeats
-        ),
         "engine_fanout_events_per_sec": _best_rate(
             lambda: _engine_fanout(n_events), repeats
-        ),
-        "engine_fanout_fast_events_per_sec": _best_rate(
-            lambda: _engine_fanout(n_events, engine="fast"), repeats
         ),
         "engine_fanout_drain_events_per_sec": _fanout_drain_rate(
             n_events, repeats
         ),
-        "engine_fanout_drain_fast_events_per_sec": _fanout_drain_rate(
-            n_events, repeats, engine="fast"
-        ),
         "channel_transit_msgs_per_sec": _best_rate(
             lambda: _channel_transit(n_msgs), repeats
-        ),
-        "channel_transit_fast_msgs_per_sec": _best_rate(
-            lambda: _channel_transit(n_msgs, engine="fast"), repeats
         ),
     }
 
     metrics["transfer_msgs_per_sec"] = _transfer_rate(n_transfer, repeats)
-    metrics["transfer_fast_msgs_per_sec"] = _transfer_rate(
-        n_transfer, repeats, engine="fast"
-    )
     # mux + demux + per-flow accounting on the same payload volume as the
     # single-flow transfer benchmark: the gap between the two rates is
     # the flow-multiplexing tax
@@ -267,12 +244,11 @@ def _transfer_rate(
     repeats: int,
     obs: bool = False,
     causal: bool = False,
-    engine: str = "default",
 ) -> float:
     best = 0.0
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        delivered, _ = _transfer(total, obs=obs, causal=causal, engine=engine)
+        delivered, _ = _transfer(total, obs=obs, causal=causal)
         elapsed = time.perf_counter() - start
         if elapsed > 0:
             best = max(best, delivered / elapsed)
@@ -291,8 +267,7 @@ def run_obs_overhead(scale: int = 1, repeats: int = 3) -> Dict[str, float]:
     expected to pay for their telemetry.
 
     ``transfer_causal_*`` entries measure the causal flight recorder
-    (:mod:`repro.obs.causal`) alone — no obs session — under both
-    engines.  The <3% always-on budget attaches to what every run pays
+    (:mod:`repro.obs.causal`) alone — no obs session.  The <3% always-on budget attaches to what every run pays
     whether or not the recorder is enabled: the instrument seams (the
     timer-observer None check is the only one on a hot path), tracked by
     ``transfer_off_msgs_per_sec`` against the committed baseline.  The
@@ -310,10 +285,6 @@ def run_obs_overhead(scale: int = 1, repeats: int = 3) -> Dict[str, float]:
     transfer_off = _transfer_rate(n_transfer, repeats)
     transfer_on = _transfer_rate(n_transfer, repeats, obs=True)
     causal_on = _transfer_rate(n_transfer, repeats, causal=True)
-    transfer_fast_off = _transfer_rate(n_transfer, repeats, engine="fast")
-    causal_fast_on = _transfer_rate(
-        n_transfer, repeats, causal=True, engine="fast"
-    )
 
     def overhead(off: float, on: float) -> float:
         return (off / on - 1.0) * 100.0 if on > 0 else 0.0
@@ -327,26 +298,19 @@ def run_obs_overhead(scale: int = 1, repeats: int = 3) -> Dict[str, float]:
         "transfer_overhead_pct": overhead(transfer_off, transfer_on),
         "transfer_causal_on_msgs_per_sec": causal_on,
         "transfer_causal_overhead_pct": overhead(transfer_off, causal_on),
-        "transfer_fast_off_msgs_per_sec": transfer_fast_off,
-        "transfer_causal_fast_on_msgs_per_sec": causal_fast_on,
-        "transfer_causal_fast_overhead_pct": overhead(
-            transfer_fast_off, causal_fast_on
-        ),
     }
 
 
 def run_profile(
     outdir: pathlib.Path,
     scale: int = 1,
-    engines: Tuple[str, ...] = ("default", "fast"),
     top: int = 30,
 ) -> List[pathlib.Path]:
-    """cProfile the end-to-end transfer micro under each engine.
+    """cProfile the end-to-end transfer micro.
 
-    Writes, per engine, a raw ``transfer_<engine>.prof`` (loadable with
-    :mod:`pstats` or snakeviz) and a ``transfer_<engine>.txt`` with the
-    ``top`` hottest functions by cumulative and by internal time.
-    Returns the written paths.
+    Writes a raw ``transfer.prof`` (loadable with :mod:`pstats` or
+    snakeviz) and a ``transfer.txt`` with the ``top`` hottest functions
+    by cumulative and by internal time.  Returns the written paths.
     """
     import cProfile
     import io
@@ -355,33 +319,29 @@ def run_profile(
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     n_transfer = 1_000 * scale
-    written: List[pathlib.Path] = []
-    for engine in engines:
-        _transfer(50, engine=engine)  # warm imports/caches outside the profile
-        profiler = cProfile.Profile()
-        profiler.enable()
-        delivered, _ = _transfer(n_transfer, engine=engine)
-        profiler.disable()
+    _transfer(50)  # warm imports/caches outside the profile
+    profiler = cProfile.Profile()
+    profiler.enable()
+    delivered, _ = _transfer(n_transfer)
+    profiler.disable()
 
-        prof_path = outdir / f"transfer_{engine}.prof"
-        profiler.dump_stats(prof_path)
+    prof_path = outdir / "transfer.prof"
+    profiler.dump_stats(prof_path)
 
-        buffer = io.StringIO()
-        buffer.write(
-            f"cProfile: blockack transfer micro, engine={engine!r}, "
-            f"{delivered} messages delivered\n\n"
-        )
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.sort_stats("cumulative")
-        buffer.write(f"--- top {top} by cumulative time ---\n")
-        stats.print_stats(top)
-        stats.sort_stats("tottime")
-        buffer.write(f"--- top {top} by internal time ---\n")
-        stats.print_stats(top)
-        txt_path = outdir / f"transfer_{engine}.txt"
-        txt_path.write_text(buffer.getvalue())
-        written.extend([prof_path, txt_path])
-    return written
+    buffer = io.StringIO()
+    buffer.write(
+        f"cProfile: blockack transfer micro, {delivered} messages delivered\n\n"
+    )
+    stats = pstats.Stats(profiler, stream=buffer)
+    stats.sort_stats("cumulative")
+    buffer.write(f"--- top {top} by cumulative time ---\n")
+    stats.print_stats(top)
+    stats.sort_stats("tottime")
+    buffer.write(f"--- top {top} by internal time ---\n")
+    stats.print_stats(top)
+    txt_path = outdir / "transfer.txt"
+    txt_path.write_text(buffer.getvalue())
+    return [prof_path, txt_path]
 
 
 def update_bench_json(

@@ -104,23 +104,6 @@ def sched_from_env() -> Optional[str]:
     return sched
 
 
-def engine_from_env() -> str:
-    """Engine mode requested by ``REPRO_ENGINE`` (default: ``"default"``).
-
-    Set by the CLI's ``--engine`` flag so experiments and grid runs pick
-    the event-loop implementation without code changes.  Unknown values
-    raise here, at configuration time, rather than deep inside a worker.
-    """
-    engine = os.environ.get("REPRO_ENGINE", "") or "default"
-    from repro.sim.engine import ENGINES  # local: avoid cycles
-
-    if engine not in ENGINES:
-        raise ValueError(
-            f"REPRO_ENGINE={engine!r} is not one of {ENGINES}"
-        )
-    return engine
-
-
 @dataclass
 class RunConfig:
     """One independent protocol run, described declaratively.
@@ -147,7 +130,6 @@ class RunConfig:
     protocol_kwargs: Dict[str, Any] = field(default_factory=dict)
     obs: bool = False  # record + export telemetry for this run
     flows: int = 1  # concurrent flows sharing the links; total is per-flow
-    engine: str = "default"  # event-loop implementation (sim.engine.ENGINES)
     causal: bool = False  # causal graph + flight recorder (repro.obs.causal)
     link_rate: Optional[float] = None  # arbiter capacity (frames/tu); None=off
     link_burst: float = 8.0  # arbiter token-bucket depth (frames)
@@ -176,11 +158,6 @@ class RunConfig:
             # appended conditionally so every pre-multi-flow cache entry
             # keeps its key; flows=1 is byte-identical to the old format
             parts.append(f"flows={self.flows}")
-        if self.engine != "default":
-            # same conditional-append contract: default-engine entries keep
-            # their pre-engine cache keys, and results produced by a
-            # different engine can never satisfy a default-engine lookup
-            parts.append(f"engine={self.engine!r}")
         if self.causal:
             # conditional-append again: causal-off configs keep their
             # pre-causal cache keys, and a causal run (which may have
@@ -207,7 +184,6 @@ class RunConfig:
     def run_id(self) -> str:
         """Deterministic telemetry run id: readable prefix + config digest."""
         flows = f"_f{self.flows}" if self.flows != 1 else ""
-        engine = f"_{self.engine}" if self.engine != "default" else ""
         arbiter = (
             f"_r{self.link_rate:g}_{self.sched}"
             if self.link_rate is not None
@@ -215,7 +191,7 @@ class RunConfig:
         )
         return (
             f"{self.protocol.replace('-', '_')}_w{self.window}"
-            f"_n{self.total}{flows}{engine}{arbiter}"
+            f"_n{self.total}{flows}{arbiter}"
             f"_s{self.seed}_{self.cache_key()[:8]}"
         )
 
@@ -355,7 +331,6 @@ def execute_config(config: RunConfig) -> TransferResult:
             ),
             obs_labels=obs_labels,
             causal=config.causal,
-            engine=config.engine,
             arbiter=arbiter,
         )
         result = session_to_transfer(session)
@@ -383,7 +358,6 @@ def execute_config(config: RunConfig) -> TransferResult:
         ),
         obs_labels=obs_labels,
         causal=config.causal,
-        engine=config.engine,
     )
     if result.obs is not None:
         # exported eagerly, in the worker process, under a deterministic

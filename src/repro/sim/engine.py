@@ -27,17 +27,12 @@ Design notes
 from __future__ import annotations
 
 import itertools
-import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 __all__ = [
     "Event",
     "Simulator",
-    "FastEvent",
-    "FastSimulator",
-    "make_simulator",
-    "ENGINES",
     "SimulationError",
     "ScheduleInPastError",
 ]
@@ -400,963 +395,3 @@ class Simulator:
         queue = self._queue
         while queue and queue[0][2].cancelled:
             heappop(queue)
-
-
-class FastEvent(list):
-    """A scheduled callback in the calendar-queue engine.
-
-    Stored as one bare ``[time, seq, callback, args, cancelled, noop]``
-    list — a single C-level allocation per event where :class:`Event`
-    costs an object plus a heap tuple.  The API mirrors :class:`Event`
-    (``cancel``, ``pending``, and the read-only field accessors), so all
-    callers of :meth:`Simulator.schedule` work unchanged against either
-    engine.
-
-    ``noop`` is the owning simulator's cancellation counter: ``cancel``
-    swaps it into the callback slot, which lets the batch fire loop run
-    with **no per-event cancelled check at all** — a cancelled event
-    that reaches the loop "fires" the counting no-op, and the drain
-    subtracts those hits from ``events_processed`` once per batch.  The
-    cancelled flag at index 4 is still set, so head-discard sweeps and
-    ``pending``/``peek_time`` observe cancellation exactly as before.
-
-    Comparison is inherited list lexicographic order; because ``(time,
-    seq)`` is unique per simulator, a sort never compares beyond the
-    first two elements, and the tie-break order is identical to
-    :class:`Event`.
-    """
-
-    __slots__ = ()
-
-    def cancel(self) -> None:
-        """Prevent this event from firing.  Idempotent."""
-        if not self[4]:
-            self[4] = True
-            # swap the real callback out for the sim's counting no-op;
-            # keep the original at index 5 so .callback stays readable
-            self[2], self[5] = self[5], self[2]
-
-    @property
-    def pending(self) -> bool:
-        """True if the event has not been cancelled."""
-        return not self[4]
-
-    @property
-    def time(self) -> float:
-        return self[0]
-
-    @property
-    def seq(self) -> int:
-        return self[1]
-
-    @property
-    def callback(self) -> Callable[..., None]:
-        return self[5] if self[4] else self[2]
-
-    @property
-    def args(self) -> tuple:
-        return self[3]
-
-    @property
-    def cancelled(self) -> bool:
-        return self[4]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self[4] else "pending"
-        name = getattr(self[2], "__qualname__", repr(self[2]))
-        return f"FastEvent(t={self[0]:.6g}, {name}, {state})"
-
-
-# max-events sentinel: any int comparison beats a None check in the loop
-_NO_BUDGET = 1 << 62
-
-
-class FastSimulator:
-    """Calendar-queue engine with batched same-timestamp drain.
-
-    Drop-in replacement for :class:`Simulator` (same API, same event
-    order) selected by ``engine="fast"`` at the runner/CLI layer.  Two
-    structural changes produce the speedup:
-
-    * **calendar queue** (R. Brown, CACM 1988): events live in
-      ``nbuckets`` time buckets of ``width`` virtual-time units each,
-      indexed by ``int(time / width) % nbuckets``.  Enqueue is an O(1)
-      list append; dequeue scans forward from a cursor and only sorts
-      the one bucket it pulls from.  The bucket count and width adapt to
-      the live event population (buckets quadruple when the count
-      doubles past them; width targets ~1/3 event per bucket-year), so
-      both operations stay O(1) amortized where the binary heap pays
-      O(log n) per push/pop.
-    * **batch drain**: all events sharing the head timestamp are pulled
-      as one batch (commonly by stealing the whole bucket list) and
-      fired in seq order from a tight local loop — the dominant
-      tie-heavy workloads (timer floods, fan-out) stop paying the
-      per-event head-scan entirely.
-
-    Determinism: the fire order is exactly the heap engine's ``(time,
-    seq)`` order — buckets are plain lists sorted by list comparison,
-    there is no identity-keyed container anywhere, so executions are
-    independent of ``PYTHONHASHSEED``.  Bucket membership uses the
-    *integer* year-bucket index ``int(time * (1/width))`` computed
-    identically at enqueue and at scan time, never a float window
-    comparison, so placement and pull can never disagree by a rounding
-    ulp.
-
-    Concurrency of maintenance and drain: resizes and cursor rewinds
-    requested by ``schedule`` calls made *inside callbacks* are deferred
-    (``_maint`` flag) and applied between batches by the drain loop
-    itself, so the loop's cached locals (bucket list, mask, width) are
-    never invalidated mid-batch.
-    """
-
-    _MAX_BUCKETS = 32768  # growth cap: 2^15 buckets ≈ 256 KiB of list heads
-
-    # Same timer seam as Simulator; instances override via __dict__.
-    timer_observer = None
-
-    __slots__ = (
-        "_now",
-        "_seq",
-        "_events_processed",
-        "_running",
-        "_instruments",
-        "_count",
-        "_buckets",
-        "_mask",
-        "_width",
-        "_inv_width",
-        "_cur_base",
-        "_resize_at",
-        "_resize_backoff",
-        "_horizon",
-        "_ins",
-        "_maint",
-        "_rewind",
-        "_dirty",
-        "_noop_hits",
-        "_cancel_noop",
-        "__dict__",  # set_instruments swaps `schedule` as an instance attr
-    )
-
-    def __init__(self) -> None:
-        self._now: float = 0.0
-        self._seq = -1  # pre-increment: first event gets seq 0, like Event
-        self._events_processed = 0
-        self._running = False
-        self._instruments = None
-        self._count = 0  # bucket entries, including not-yet-discarded cancels
-        self._buckets: list[list] = [[] for _ in range(8)]
-        self._dirty = bytearray(8)  # 1 = bucket may be out of (time, seq) order
-        self._mask = 7
-        self._width = 1.0
-        self._inv_width = 1.0
-        self._cur_base = 0  # integer year-bucket index the cursor is at
-        self._resize_at = 16
-        self._resize_backoff = 1  # doubles per fruitless (no-growth) resize
-        # insert-watch for the year-run drain (see run_while): while a
-        # multi-event run is being fired, _horizon is its last timestamp
-        # and _ins tracks the earliest schedule() at or below it; outside
-        # a run, _horizon is -inf and the watch is a dead branch
-        self._horizon = -math.inf
-        self._ins = math.inf
-        self._maint = False  # a resize and/or rewind is pending
-        self._rewind = None  # earliest time scheduled behind the cursor
-        hits = self._noop_hits = [0]  # cancelled events fired by the bare loop
-
-        def _cancel_noop(*_args: Any) -> None:
-            hits[0] += 1
-
-        self._cancel_noop = _cancel_noop
-
-    # ------------------------------------------------------------------
-    # clock and introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
-
-    @property
-    def events_processed(self) -> int:
-        """Number of events executed so far (cancelled events excluded)."""
-        return self._events_processed
-
-    @property
-    def pending_count(self) -> int:
-        """Number of not-yet-cancelled events in the queue.
-
-        O(queue length); intended for tests and debugging, not hot paths.
-        """
-        return sum(1 for b in self._buckets for e in b if not e[4])
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None if the queue is empty.
-
-        Direct search over all buckets, skipping cancelled entries —
-        O(queue length), like :attr:`pending_count` a debugging surface
-        rather than a hot path (the drain loops never call it).
-        """
-        best = None
-        for b in self._buckets:
-            for e in b:
-                if not e[4] and (best is None or e[0] < best):
-                    best = e[0]
-        return best
-
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
-
-    def schedule(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> FastEvent:
-        """Schedule ``callback(*args)`` to run ``delay`` time units from now.
-
-        Returns the :class:`FastEvent`, which can be cancelled.  A zero
-        delay is allowed and runs after all events already scheduled for
-        the current instant (the seq tie-break).
-        """
-        if delay < 0:
-            raise ScheduleInPastError(
-                f"cannot schedule event {delay} time units in the past"
-            )
-        time = self._now + delay
-        self._seq = seq = self._seq + 1
-        event = FastEvent((time, seq, callback, args, False, self._cancel_noop))
-        base = int(time * self._inv_width)
-        idx = base & self._mask
-        bucket = self._buckets[idx]
-        if bucket and bucket[-1][0] > time:
-            # append breaks (time, seq) order: seq is globally increasing,
-            # so only an earlier *time* can unsort a bucket
-            self._dirty[idx] = 1
-        bucket.append(event)
-        self._count = count = self._count + 1
-        if time <= self._horizon and time < self._ins:
-            self._ins = time  # lands inside the live year-run: flag it
-        if base < self._cur_base:
-            # landed behind the cursor (possible after run(until=) walked
-            # the cursor past a gap): ask the drain to rewind before the
-            # next pull so the scan cannot miss it
-            if self._rewind is None or time < self._rewind:
-                self._rewind = time
-            self._maint = True
-        elif count >= self._resize_at:
-            if self._running:
-                self._maint = True  # defer: a drain loop holds locals
-            else:
-                self._resize()
-        return event
-
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> FastEvent:
-        """Schedule ``callback(*args)`` at an absolute virtual time."""
-        return self.schedule(time - self._now, callback, *args)
-
-    # ------------------------------------------------------------------
-    # instrumentation
-    # ------------------------------------------------------------------
-
-    def set_instruments(self, instruments: Optional[Any]) -> None:
-        """Install (or with None, remove) engine telemetry hooks.
-
-        Same contract as :meth:`Simulator.set_instruments`: ``schedule``
-        is swapped for its instrumented twin as an *instance* attribute,
-        and the drain entry points select an instrumented body once per
-        call, so the uninstrumented hot loops stay untouched.  The
-        queue-length reported to the hooks is the bucket population
-        (including not-yet-discarded cancelled entries), mirroring the
-        heap engine's ``len(queue)``.
-        """
-        self._instruments = instruments
-        if instruments is None:
-            self.__dict__.pop("schedule", None)
-        else:
-            self.__dict__["schedule"] = self._schedule_instrumented
-
-    def _schedule_instrumented(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> FastEvent:
-        """:meth:`schedule` plus the on_schedule hook (same semantics)."""
-        if delay < 0:
-            raise ScheduleInPastError(
-                f"cannot schedule event {delay} time units in the past"
-            )
-        time = self._now + delay
-        self._seq = seq = self._seq + 1
-        event = FastEvent((time, seq, callback, args, False, self._cancel_noop))
-        base = int(time * self._inv_width)
-        idx = base & self._mask
-        bucket = self._buckets[idx]
-        if bucket and bucket[-1][0] > time:
-            self._dirty[idx] = 1
-        bucket.append(event)
-        self._count = count = self._count + 1
-        if time <= self._horizon and time < self._ins:
-            self._ins = time
-        if base < self._cur_base:
-            if self._rewind is None or time < self._rewind:
-                self._rewind = time
-            self._maint = True
-        elif count >= self._resize_at:
-            self._maint = True
-        self._instruments.on_schedule(count)
-        return event
-
-    # ------------------------------------------------------------------
-    # calendar maintenance (runs between batches, never mid-drain)
-    # ------------------------------------------------------------------
-
-    def _do_maintenance(self) -> None:
-        """Apply a deferred resize and/or cursor rewind."""
-        self._maint = False
-        if self._count >= self._resize_at:
-            self._resize()  # re-anchors the cursor at the earliest event
-            self._rewind = None
-            return
-        rewind = self._rewind
-        if rewind is not None:
-            self._rewind = None
-            self._cur_base = int(rewind * self._inv_width)
-
-    def _resize(self) -> None:
-        """Grow the bucket array and re-fit the bucket width.
-
-        Quadruples the bucket count (re-triggering at most every
-        doubling of the population), fits ``width`` so the live events
-        spread at roughly one event per three bucket-years, rebuilds the
-        buckets, and re-anchors the cursor at the earliest pending
-        event.  Cancelled entries are dropped during the rebuild.
-        """
-        events = []
-        old_dirty = self._dirty
-        for i, bucket in enumerate(self._buckets):
-            if old_dirty[i] and len(bucket) > 1:
-                # restore per-bucket (time, seq) order first so the rebuild's
-                # append-order check below is a sufficient dirtiness test
-                # (same-time runs must already be in seq order)
-                bucket.sort()
-            events.extend(e for e in bucket if not e[4])
-        self._count = count = len(events)
-        old_nbuckets = nbuckets = self._mask + 1
-        while count >= (nbuckets << 1) and nbuckets < self._MAX_BUCKETS:
-            nbuckets <<= 2
-        if nbuckets >= self._MAX_BUCKETS:
-            nbuckets = self._MAX_BUCKETS
-            # stop re-triggering: from here on only width could adapt,
-            # and a fixed-width cap keeps schedule() at two compares
-            self._resize_at = _NO_BUDGET
-        else:
-            # The trigger count includes cancelled garbage, so a steady
-            # workload that cancels as fast as it schedules re-triggers
-            # forever without ever growing (measured: a timer-churn cell
-            # rebuilt every ~25 events, 8k rebuilds per run).  A resize
-            # exists to *grow*; purging is incidental — the drain's
-            # head-discard already reclaims garbage as time advances.
-            # So back off exponentially while resizes find no growth,
-            # and reset the moment one does.  Garbage held between
-            # rebuilds stays bounded by 65x the live population.
-            if nbuckets > old_nbuckets:
-                self._resize_backoff = 1
-            else:
-                self._resize_backoff = min(self._resize_backoff << 1, 64)
-            self._resize_at = max(
-                nbuckets << 1, count + count * self._resize_backoff
-            )
-        if count > 1:
-            # C-level min/max via list comparison: (time, seq) leads
-            tmin = min(events)[0]
-            tmax = max(events)[0]
-            span = tmax - tmin
-            if span > 0.0:
-                self._width = span * 3.0 / count
-                self._inv_width = 1.0 / self._width
-        self._mask = mask = nbuckets - 1
-        inv_width = self._inv_width
-        buckets = self._buckets = [[] for _ in range(nbuckets)]
-        dirty = self._dirty = bytearray(nbuckets)
-        for e in events:
-            idx = int(e[0] * inv_width) & mask
-            b = buckets[idx]
-            if b and b[-1][0] > e[0]:
-                # rebuild order is old-bucket concatenation order: mark only
-                # the buckets it actually unsorts (seq order is preserved
-                # within each old bucket, so time is the sole discriminator)
-                dirty[idx] = 1
-            b.append(e)
-        anchor = min(events)[0] if events else self._now
-        self._cur_base = int(anchor * inv_width)
-
-    # ------------------------------------------------------------------
-    # batch pull (helper form: step, instrumented drains)
-    # ------------------------------------------------------------------
-
-    def _pull_batch(self, instruments: Optional[Any] = None) -> Optional[list]:
-        """Remove and return the next same-timestamp batch, or None.
-
-        The batch comes back sorted by ``(time, seq)`` with cancelled
-        entries possibly interleaved (the *head* is always pending).
-        The uninstrumented ``run``/``run_while`` loops inline this logic
-        with locals; this method is the shared slow-path used by
-        :meth:`step` and the instrumented drains.
-        """
-        if self._maint:
-            self._do_maintenance()
-        if self._count == 0:
-            return None
-        buckets = self._buckets
-        dirty = self._dirty
-        mask = self._mask
-        inv_width = self._inv_width
-        base = self._cur_base
-        scanned = 0
-        while True:
-            idx = base & mask
-            bucket = buckets[idx]
-            if bucket:
-                if dirty[idx]:
-                    if len(bucket) > 1:
-                        bucket.sort()
-                    dirty[idx] = 0
-                while bucket and bucket[0][4]:
-                    del bucket[0]
-                    self._count -= 1
-                    if instruments is not None:
-                        instruments.on_cancel_discard()
-                if bucket:
-                    head_time = bucket[0][0]
-                    if int(head_time * inv_width) == base:
-                        if bucket[-1][0] == head_time:
-                            ready = bucket
-                            buckets[idx] = []
-                        else:
-                            j = 1
-                            while bucket[j][0] == head_time:
-                                j += 1
-                            ready = bucket[:j]
-                            del bucket[:j]
-                        self._count -= len(ready)
-                        self._cur_base = base
-                        return ready
-                elif self._count == 0:
-                    return None
-            base += 1
-            scanned += 1
-            if scanned > mask:
-                # a full cycle with no hit in any bucket's current year:
-                # the width no longer matches the live distribution (a
-                # sparse queue whose events sit many years apart would
-                # otherwise pay a full lap per pull).  _resize purges
-                # cancelled garbage, re-fits the width to the live span,
-                # and re-anchors the cursor at the true minimum — whose
-                # bucket the next probe then hits directly.
-                self._resize()
-                if self._count == 0:
-                    return None
-                buckets = self._buckets
-                dirty = self._dirty
-                mask = self._mask
-                inv_width = self._inv_width
-                base = self._cur_base
-                scanned = 0
-
-    def _put_back(self, leftover: list) -> None:
-        """Return an interrupted batch's unfired tail to its bucket.
-
-        The events re-enter the bucket the cursor is parked on (their
-        year-bucket index — pull just took them from it); the next pull
-        re-sorts and finds them first again.
-        """
-        if leftover:
-            idx = self._cur_base & self._mask
-            self._buckets[idx].extend(leftover)
-            self._dirty[idx] = 1
-            self._count += len(leftover)
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns True if an event ran, False if the queue was empty.
-        """
-        batch = self._pull_batch(self._instruments)
-        if batch is None:
-            return False
-        event = batch[0]  # pull guarantees a pending head
-        self._put_back(batch[1:])
-        self._now = event[0]
-        self._events_processed += 1
-        if self._instruments is not None:
-            self._instruments.on_fire(self._count)
-        event[2](*event[3])
-        return True
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Drain the event queue (same semantics as :meth:`Simulator.run`).
-
-        ``until`` stops once the next batch would be strictly later and
-        advances the clock to ``until``; ``max_events`` stops after that
-        many events, leaving the rest queued.
-        """
-        if self._running:
-            raise SimulationError("FastSimulator.run is not re-entrant")
-        self._running = True
-        try:
-            if self._instruments is not None:
-                self._run_instrumented(until, max_events)
-            else:
-                self._run_fast(until, max_events)
-        finally:
-            self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-
-    def _run_fast(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> None:
-        """The uninstrumented :meth:`run` drain: inlined pull + batch fire.
-
-        On a callback exception the unfired tail of the current batch is
-        returned to its bucket (the heap engine likewise keeps unfired
-        events queued) and the exception propagates with
-        ``events_processed`` already counting the events that did fire.
-        """
-        budget = _NO_BUDGET if max_events is None else max_events
-        fired = 0
-        # drain-loop locals: valid until the next maintenance point,
-        # which only ever runs between batches (see _do_maintenance)
-        buckets = self._buckets
-        dirty = self._dirty
-        mask = self._mask
-        inv_width = self._inv_width
-        noop_hits = self._noop_hits
-        bound = math.inf if until is None else until
-        while True:
-            if self._maint:
-                self._do_maintenance()
-                buckets = self._buckets
-                dirty = self._dirty
-                mask = self._mask
-                inv_width = self._inv_width
-            if self._count == 0:
-                break
-            # ---- pull the next same-timestamp batch ----
-            base = self._cur_base
-            scanned = 0
-            ready = None
-            single = None
-            head_time = 0.0
-            while True:
-                idx = base & mask
-                bucket = buckets[idx]
-                if bucket:
-                    if dirty[idx]:
-                        if len(bucket) > 1:
-                            bucket.sort()
-                        dirty[idx] = 0
-                    while bucket and bucket[0][4]:
-                        del bucket[0]
-                        self._count -= 1
-                    if bucket:
-                        head_time = bucket[0][0]
-                        if int(head_time * inv_width) == base:
-                            if len(bucket) == 1:
-                                # singleton: pop in place, no steal
-                                single = bucket.pop()
-                                self._count -= 1
-                            elif bucket[1][0] != head_time:
-                                # head alone at its timestamp: no batch
-                                single = bucket.pop(0)
-                                self._count -= 1
-                            elif bucket[-1][0] == head_time:
-                                # uniform bucket: steal the list whole
-                                ready = bucket
-                                buckets[idx] = []
-                                self._count -= len(ready)
-                            else:
-                                j = 2
-                                while bucket[j][0] == head_time:
-                                    j += 1
-                                ready = bucket[:j]
-                                del bucket[:j]
-                                self._count -= len(ready)
-                            break
-                    elif self._count == 0:
-                        break
-                base += 1
-                scanned += 1
-                if scanned > mask:
-                    # full-lap miss: width too small for the live
-                    # distribution — re-fit and re-anchor (see
-                    # _pull_batch); the next probe hits the minimum
-                    self._resize()
-                    if self._count == 0:
-                        break
-                    buckets = self._buckets
-                    dirty = self._dirty
-                    mask = self._mask
-                    inv_width = self._inv_width
-                    base = self._cur_base
-                    scanned = 0
-            self._cur_base = base
-            if single is not None:
-                # ---- singleton fire (see run_while: pending head, no
-                # batch bookkeeping; an exception has no unfired tail
-                # and the raising event already counted)
-                if head_time > bound:
-                    self._put_back([single])
-                    break
-                if fired >= budget:
-                    self._put_back([single])
-                    break
-                self._now = head_time
-                fired += 1
-                try:
-                    single[2](*single[3])
-                except BaseException:
-                    self._events_processed += fired
-                    raise
-                continue
-            if ready is None:
-                break
-            # ---- fire the batch in (time, seq) order ----
-            # head_time survives from the scan: ready[0] set it
-            if head_time > bound:
-                self._put_back(ready)
-                break
-            self._now = head_time
-            if budget == _NO_BUDGET:
-                # bare loop: no per-event cancelled check — a cancelled
-                # event's callback IS the counting no-op (see
-                # FastEvent.cancel), and its hits are subtracted from the
-                # batch's fired total afterwards.  This also catches
-                # same-timestamp cancels made by callbacks mid-batch.
-                fired += len(ready)
-                ev = None
-                try:
-                    for ev in ready:
-                        ev[2](*ev[3])
-                except BaseException:
-                    # keep the unfired tail queued, like the heap engine,
-                    # and settle the count of events that did fire (the
-                    # raising event counts; unfired and no-op'd do not)
-                    pos = ready.index(ev)
-                    self._put_back(ready[pos + 1 :])
-                    fired -= len(ready) - 1 - pos
-                    nh = noop_hits[0]
-                    if nh:
-                        fired -= nh
-                        noop_hits[0] = 0
-                    self._events_processed += fired
-                    raise
-                nh = noop_hits[0]
-                if nh:
-                    fired -= nh
-                    noop_hits[0] = 0
-            else:
-                consumed = 0
-                try:
-                    for ev in ready:
-                        if ev[4]:
-                            consumed += 1
-                            continue
-                        if fired >= budget:
-                            break
-                        fired += 1
-                        consumed += 1
-                        ev[2](*ev[3])
-                except BaseException:
-                    self._put_back(ready[consumed:])
-                    self._events_processed += fired
-                    raise
-                if fired >= budget:
-                    self._put_back(ready[consumed:])
-                    break
-        self._events_processed += fired
-
-    def _run_instrumented(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> int:
-        """Instrumented twin of the :meth:`run` drain (hook per event)."""
-        instruments = self._instruments
-        budget = _NO_BUDGET if max_events is None else max_events
-        fired = 0
-        try:
-            while True:
-                ready = self._pull_batch(instruments)
-                if ready is None:
-                    break
-                head_time = ready[0][0]
-                if until is not None and head_time > until:
-                    self._put_back(ready)
-                    break
-                self._now = head_time
-                consumed = 0
-                remaining = len(ready)
-                try:
-                    for ev in ready:
-                        if ev[4]:
-                            consumed += 1
-                            remaining -= 1
-                            instruments.on_cancel_discard()
-                            continue
-                        if fired >= budget:
-                            break
-                        fired += 1
-                        consumed += 1
-                        remaining -= 1
-                        instruments.on_fire(self._count + remaining)
-                        ev[2](*ev[3])
-                except BaseException:
-                    self._put_back(ready[consumed:])
-                    raise
-                if fired >= budget:
-                    self._put_back(ready[consumed:])
-                    break
-        finally:
-            self._events_processed += fired
-
-    def run_while(
-        self,
-        keep_going: Callable[[], bool],
-        max_time: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Drain pending events for as long as ``keep_going()`` is true.
-
-        Same semantics as :meth:`Simulator.run_while` (head-peek
-        ``max_time``: an event exactly at the bound fires, one strictly
-        past it does not, and the clock advances to ``max_time`` when
-        the bound stopped the drain).  The predicate is evaluated before
-        every event; events it declines stay queued.  Returns the number
-        of events executed.
-        """
-        if self._running:
-            raise SimulationError("FastSimulator.run_while is not re-entrant")
-        self._running = True
-        instruments = self._instruments
-        budget = _NO_BUDGET if max_events is None else max_events
-        fired = 0
-        timed_out = False
-        try:
-            while instruments is not None:
-                ready = self._pull_batch(instruments)
-                if ready is None:
-                    break
-                head_time = ready[0][0]
-                if max_time is not None and head_time > max_time:
-                    self._put_back(ready)
-                    timed_out = True
-                    break
-                stopped = False
-                consumed = 0
-                remaining = len(ready)
-                try:
-                    for ev in ready:
-                        if ev[4]:
-                            consumed += 1
-                            remaining -= 1
-                            instruments.on_cancel_discard()
-                            continue
-                        if fired >= budget or not keep_going():
-                            stopped = True
-                            break
-                        self._now = head_time
-                        fired += 1
-                        consumed += 1
-                        remaining -= 1
-                        instruments.on_fire(self._count + remaining)
-                        ev[2](*ev[3])
-                except BaseException:
-                    self._put_back(ready[consumed:])
-                    raise
-                if stopped:
-                    self._put_back(ready[consumed:])
-                    break
-            # uninstrumented hot path: the pull is inlined exactly like
-            # _run_fast's — run_while is the runner's main drive loop, so
-            # a per-batch method call here costs real end-to-end time on
-            # timer-heavy workloads whose batches are near-singletons.
-            # Unlike run()'s per-timestamp batches, this loop pulls the
-            # whole *year-run* (the bucket prefix belonging to the
-            # cursor's year) and fires it under an insert-watch: the
-            # expensive rescan then amortizes over the run instead of
-            # repeating per event.  schedule() flags any insert at or
-            # below the run's horizon; the fire loop puts the unfired
-            # tail back and rescans the moment an insert lands before
-            # the next event, so global (time, seq) order is exact.
-            buckets = self._buckets
-            dirty = self._dirty
-            mask = self._mask
-            inv_width = self._inv_width
-            bound = math.inf if max_time is None else max_time
-            while instruments is None:
-                if self._maint:
-                    self._do_maintenance()
-                    buckets = self._buckets
-                    dirty = self._dirty
-                    mask = self._mask
-                    inv_width = self._inv_width
-                if self._count == 0:
-                    break
-                # ---- pull the cursor-year run ----
-                base = self._cur_base
-                scanned = 0
-                run = None
-                single = None
-                head_time = 0.0
-                while True:
-                    idx = base & mask
-                    bucket = buckets[idx]
-                    if bucket:
-                        if dirty[idx]:
-                            if len(bucket) > 1:
-                                bucket.sort()
-                            dirty[idx] = 0
-                        while bucket and bucket[0][4]:
-                            del bucket[0]
-                            self._count -= 1
-                        if bucket:
-                            head_time = bucket[0][0]
-                            if int(head_time * inv_width) == base:
-                                if len(bucket) == 1:
-                                    # singleton: pop in place, no steal
-                                    single = bucket.pop()
-                                    self._count -= 1
-                                elif int(bucket[-1][0] * inv_width) == base:
-                                    # whole bucket is this year: steal it
-                                    run = bucket
-                                    buckets[idx] = []
-                                    self._count -= len(run)
-                                else:
-                                    j = 1
-                                    while int(bucket[j][0] * inv_width) == base:
-                                        j += 1
-                                    run = bucket[:j]
-                                    del bucket[:j]
-                                    self._count -= j
-                                break
-                        elif self._count == 0:
-                            break
-                    base += 1
-                    scanned += 1
-                    if scanned > mask:
-                        # full-lap miss: width too small for the live
-                        # distribution — re-fit and re-anchor (see
-                        # _pull_batch); the next probe hits the minimum
-                        self._resize()
-                        if self._count == 0:
-                            break
-                        buckets = self._buckets
-                        dirty = self._dirty
-                        mask = self._mask
-                        inv_width = self._inv_width
-                        base = self._cur_base
-                        scanned = 0
-                self._cur_base = base
-                if single is not None:
-                    # ---- singleton fire: the dominant shape on timer
-                    # workloads.  The scan guarantees the head is pending
-                    # and no callback ran between pull and fire, so the
-                    # cancelled check, the run loop, and the insert-watch
-                    # all drop out (no tail exists to misorder; an
-                    # exception has no unfired tail and the outer finally
-                    # settles the count).
-                    if head_time > bound:
-                        self._put_back([single])
-                        timed_out = True
-                        break
-                    if fired >= budget or not keep_going():
-                        self._put_back([single])
-                        break
-                    self._now = head_time
-                    fired += 1
-                    single[2](*single[3])
-                    continue
-                if run is None:
-                    break
-                # ---- fire the year-run under the insert-watch ----
-                self._ins = math.inf
-                self._horizon = run[-1][0]
-                rescan = False
-                stopped = False
-                consumed = 0
-                try:
-                    for ev in run:
-                        if ev[4]:
-                            consumed += 1
-                            continue
-                        t = ev[0]
-                        if self._ins < t:
-                            # a callback scheduled ahead of this event:
-                            # put the tail back and rescan (a tie at the
-                            # current timestamp keeps firing — the new
-                            # event's seq is higher, so it belongs after
-                            # every already-pulled event of that time)
-                            rescan = True
-                            break
-                        if t > bound:
-                            timed_out = True
-                            stopped = True
-                            break
-                        if fired >= budget or not keep_going():
-                            stopped = True
-                            break
-                        self._now = t
-                        fired += 1
-                        consumed += 1
-                        ev[2](*ev[3])
-                except BaseException:
-                    self._horizon = -math.inf
-                    self._put_back(run[consumed:])
-                    raise
-                self._horizon = -math.inf
-                if rescan:
-                    self._put_back(run[consumed:])
-                    continue
-                if stopped:
-                    self._put_back(run[consumed:])
-                    break
-        finally:
-            self._running = False
-            self._events_processed += fired
-        if timed_out and self._now < max_time:
-            self._now = max_time
-        return fired
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        """Run until no events remain, guarded by ``max_events``."""
-        self.run(max_events=max_events)
-        if self.peek_time() is not None:
-            raise SimulationError(
-                f"event queue not drained after {max_events} events; "
-                "possible livelock"
-            )
-
-
-ENGINES = ("default", "fast")
-
-
-def make_simulator(engine: str = "default"):
-    """Engine factory: ``"default"`` (binary heap) or ``"fast"``.
-
-    The default engine is the reference implementation whose golden
-    decision traces are pinned byte-for-byte; the fast engine is the
-    calendar-queue rewrite, held to decision-trace *equivalence* on the
-    golden configs (same events, same order — see
-    ``tests/test_fast_engine_equivalence.py``).
-    """
-    if engine == "default":
-        return Simulator()
-    if engine == "fast":
-        return FastSimulator()
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

@@ -39,9 +39,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.analysis.stats import jain_fairness
 from repro.channel.arbiter import ArbiterConfig
 from repro.channel.mux import FlowMux
-from repro.channel.sampling import maybe_block
 from repro.protocols.base import ReceiverEndpoint, SenderEndpoint
-from repro.sim.engine import Simulator, make_simulator
+from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.runner import (
     LinkSpec,
@@ -382,7 +381,6 @@ class SessionHost:
         obs_labels: Optional[dict] = None,
         obs_sample_invariants_every: int = 0,
         causal: bool = False,
-        engine: str = "default",
         arbiter: Optional[ArbiterConfig] = None,
     ) -> None:
         self.flows = [
@@ -404,7 +402,6 @@ class SessionHost:
         self.obs_labels = obs_labels
         self.obs_sample_invariants_every = obs_sample_invariants_every
         self.causal = causal
-        self.engine = engine
         self.arbiter = (
             arbiter if arbiter is not None and arbiter.active else None
         )
@@ -412,7 +409,7 @@ class SessionHost:
     # ------------------------------------------------------------------
 
     def run(self) -> SessionResult:
-        sim = make_simulator(self.engine)
+        sim = Simulator()
         streams = RandomStreams(self.seed)
 
         causal_rec = None
@@ -441,10 +438,10 @@ class SessionHost:
             obs_session.attach_sim(sim)
 
         forward_channel = self.forward_spec.build(
-            sim, maybe_block(streams.get("channel.forward"), self.engine), "SR"
+            sim, streams.get("channel.forward"), "SR"
         )
         reverse_channel = self.reverse_spec.build(
-            sim, maybe_block(streams.get("channel.reverse"), self.engine), "RS"
+            sim, streams.get("channel.reverse"), "RS"
         )
         # only the data direction is arbitrated: acks are the paper's
         # cheap control frames, so the reverse link keeps pure
@@ -833,7 +830,6 @@ def run_flows(
     obs_labels: Optional[dict] = None,
     obs_sample_invariants_every: int = 0,
     causal: bool = False,
-    engine: str = "default",
     arbiter: Optional[ArbiterConfig] = None,
 ) -> SessionResult:
     """Run N flows over one shared link pair and measure the session.
@@ -874,7 +870,6 @@ def run_flows(
             obs_labels=obs_labels,
             obs_sample_invariants_every=obs_sample_invariants_every,
             causal=causal,
-            engine=engine,
         )
         return _session_from_transfer(spec, result)
     host = SessionHost(
@@ -893,7 +888,6 @@ def run_flows(
         obs_labels=obs_labels,
         obs_sample_invariants_every=obs_sample_invariants_every,
         causal=causal,
-        engine=engine,
         arbiter=arbiter if arbitrated else None,
     )
     return host.run()

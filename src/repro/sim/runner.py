@@ -18,9 +18,8 @@ from typing import Any, List, Optional
 from repro.channel.channel import Channel
 from repro.channel.delay import ConstantDelay, DelayModel
 from repro.channel.impairments import LossModel, NoLoss
-from repro.channel.sampling import maybe_block
 from repro.protocols.base import ReceiverEndpoint, SenderEndpoint
-from repro.sim.engine import Simulator, make_simulator
+from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.trace.recorder import NullRecorder, TraceRecorder
 from repro.workloads.sources import Source
@@ -198,7 +197,6 @@ def run_transfer(
     obs_labels: Optional[dict] = None,
     obs_sample_invariants_every: int = 0,
     causal: bool = False,
-    engine: str = "default",
 ) -> TransferResult:
     """Run one complete transfer and measure it.
 
@@ -248,16 +246,8 @@ def run_transfer(
     (``result.flight_path``).  Independent of ``obs`` and composable
     with it; the graph never perturbs rng or scheduling, so decision
     traces are bit-identical with the layer on or off.
-
-    ``engine`` selects the event-loop implementation (see
-    :data:`repro.sim.engine.ENGINES`): ``"default"`` is the binary-heap
-    engine whose golden decision traces are pinned byte-for-byte;
-    ``"fast"`` is the calendar-queue engine with batched same-timestamp
-    drain and block-sampled channel randomness — decision-trace
-    equivalent (the channel streams are bit-identical by construction)
-    but measurably faster on event-dense workloads.
     """
-    sim = make_simulator(engine)
+    sim = Simulator()
     streams = RandomStreams(seed)
 
     causal_rec = None
@@ -285,12 +275,8 @@ def run_transfer(
 
     forward_spec = forward if forward is not None else LinkSpec()
     reverse_spec = reverse if reverse is not None else LinkSpec()
-    forward_channel = forward_spec.build(
-        sim, maybe_block(streams.get("channel.forward"), engine), "SR"
-    )
-    reverse_channel = reverse_spec.build(
-        sim, maybe_block(streams.get("channel.reverse"), engine), "RS"
-    )
+    forward_channel = forward_spec.build(sim, streams.get("channel.forward"), "SR")
+    reverse_channel = reverse_spec.build(sim, streams.get("channel.reverse"), "RS")
     if obs_session is not None:
         obs_session.attach_channel(forward_channel, "SR")
         obs_session.attach_channel(reverse_channel, "RS")

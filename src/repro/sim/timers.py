@@ -28,8 +28,8 @@ class Timer:
     fire is reported as ``observer(op, timer)`` with ``op`` in
     ``"arm"``/``"cancel"``/``"fire"`` — the seam the causal recorder
     uses to chain timer-fire → retransmit edges.  The cost when no
-    observer is set is one attribute read per operation; the engines'
-    event loops are untouched, so schedules are identical either way.
+    observer is set is one attribute read per operation; the engine's
+    event loop is untouched, so schedules are identical either way.
     """
 
     def __init__(

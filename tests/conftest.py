@@ -6,19 +6,13 @@ import random
 
 import pytest
 
-from repro.sim.engine import ENGINES, Simulator, make_simulator
+from repro.sim.engine import Simulator
 
 
-@pytest.fixture(params=ENGINES)
-def sim(request) -> Simulator:
-    """A fresh simulator — parametrized over every engine implementation.
-
-    Every engine-semantics test in ``test_sim_engine.py`` (ordering,
-    ties, cancellation, budgets, ``run_while``) runs once per engine, so
-    the fast calendar-queue engine is held to the heap engine's contract
-    line by line.
-    """
-    return make_simulator(request.param)
+@pytest.fixture
+def sim() -> Simulator:
+    """A fresh simulator."""
+    return Simulator()
 
 
 @pytest.fixture

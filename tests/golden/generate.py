@@ -96,14 +96,8 @@ def record_case(
     forward,
     reverse,
     seed,
-    engine: str = "default",
 ):
-    """One traced transfer; returns the JSON-safe decision trace.
-
-    ``engine`` selects the event loop; the recordings are always
-    *generated* on the default engine, and the fast engine is required to
-    reproduce them exactly (see ``test_golden_traces.py``).
-    """
+    """One traced transfer; returns the JSON-safe decision trace."""
     sender, receiver = make_pair(protocol, window=window)
     result = run_transfer(
         sender,
@@ -114,7 +108,6 @@ def record_case(
         seed=seed,
         trace=True,
         max_time=10_000.0,
-        engine=engine,
     )
     assert result.completed and result.in_order, (
         f"golden run must complete cleanly: {protocol}: {result.summary()}"

@@ -9,7 +9,7 @@ session's trace (``TraceRecorder.decision_trace``) for the E15 quick
 configurations.  They were generated *before* the link-arbiter refactor
 (``repro.channel.arbiter``); a session run with the default ``fifo``
 scheduler and infinite link capacity must reproduce every one of them
-byte-for-byte on both engines (see ``tests/test_session_golden.py``) —
+byte-for-byte (see ``tests/test_session_golden.py``) —
 the arbiter's pass-through path is required to be invisible.
 """
 
@@ -54,9 +54,7 @@ def golden_session_cases():
     return cases
 
 
-def record_session_case(
-    protocol: str, flows: int, loss: float, engine: str = "default", **host_kwargs
-):
+def record_session_case(protocol: str, flows: int, loss: float, **host_kwargs):
     """One traced session; returns the JSON-safe decision trace."""
     session = run_flows(
         uniform_flows(protocol, flows, WINDOW, OFFERED),
@@ -65,7 +63,6 @@ def record_session_case(
         seed=SEED,
         max_time=HORIZON,
         trace=True,
-        engine=engine,
         **host_kwargs,
     )
     assert session.trace is not None and session.trace.dropped_events == 0

@@ -4,8 +4,7 @@ The arbiter (:mod:`repro.channel.arbiter`) is the tentpole of the
 capacity-limited-link refactor, so its contract is tested directly,
 below the mux/host layers: token-bucket pacing, droptail accounting,
 scheduler ordering (fifo / wrr / drr), and — via hypothesis — DRR's
-grant-conservation and equal-weight fairness properties.  Every test
-runs on both engines through the shared ``sim`` fixture.
+grant-conservation and equal-weight fairness properties.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from repro.channel.arbiter import (
     WrrScheduler,
     make_scheduler,
 )
-from repro.sim.engine import ENGINES, make_simulator
+from repro.sim.engine import Simulator
 
 from .conftest import drain
 
@@ -230,7 +229,6 @@ class TestDrrProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        engine=st.sampled_from(ENGINES),
         nflows=st.integers(min_value=2, max_value=4),
         extra=st.lists(
             st.integers(min_value=0, max_value=25),
@@ -241,9 +239,9 @@ class TestDrrProperties:
         burst=st.floats(min_value=1.0, max_value=6.0),
     )
     def test_drr_conserves_grants_and_splits_evenly(
-        self, engine, nflows, extra, rate, burst
+        self, nflows, extra, rate, burst
     ):
-        sim = make_simulator(engine)
+        sim = Simulator()
         grants = []
         arbiter = LinkArbiter(
             sim,

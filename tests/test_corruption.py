@@ -353,9 +353,7 @@ class TestControllerRepair:
 # ----------------------------------------------------------------------
 
 
-def run_corrupted(
-    protocol, site, severity, total=120, seed=11, engine="default", **pair_kwargs
-):
+def run_corrupted(protocol, site, severity, total=120, seed=11, **pair_kwargs):
     sender, receiver = make_pair(protocol, window=6, **pair_kwargs)
     plan = FaultPlan(
         seed=seed,
@@ -371,7 +369,6 @@ def run_corrupted(
         max_time=50_000.0,
         monitor_invariants=True,
         fault_plan=plan,
-        engine=engine,
     )
     return result, plan
 
@@ -387,20 +384,6 @@ class TestEndToEndRecovery:
         assert stab["reconvergence_time"] >= 0.0
         assert plan.stats.state_corruptions == 1
         assert result.fault_stats["repairs"] == plan.stats.repairs
-
-    def test_fast_engine_recovers_identically(self):
-        """Corruption injection, repair, and reconvergence timing are
-        engine-invariant: the fast engine must produce the exact
-        stabilization payload the heap engine does."""
-        default_result, _ = run_corrupted("blockack", "sender.window", "worst")
-        fast_result, fast_plan = run_corrupted(
-            "blockack", "sender.window", "worst", engine="fast"
-        )
-        assert fast_result.stabilization == default_result.stabilization
-        assert fast_result.delivered == default_result.delivered
-        assert fast_result.duration == default_result.duration
-        assert fast_result.fault_stats == default_result.fault_stats
-        assert fast_plan.stats.state_corruptions == 1
 
     def test_no_corruption_means_no_stabilization_payload(self):
         sender, receiver = make_pair("blockack", window=6)

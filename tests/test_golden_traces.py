@@ -47,28 +47,6 @@ def test_decision_trace_matches_golden(case_id, protocol, kwargs):
     )
 
 
-@pytest.mark.parametrize(
-    "case_id,protocol,kwargs",
-    golden_cases(),
-    ids=[f"fast-{case_id}" for case_id, _, _ in golden_cases()],
-)
-def test_decision_trace_matches_golden_fast_engine(case_id, protocol, kwargs):
-    """The calendar-queue engine must reproduce every recording too.
-
-    The fast engine reorders nothing observable: same-timestamp events
-    fire in schedule order (batched), and the block-sampled channel
-    randomness is bit-identical to ``random.Random``.  Any divergence
-    here means the raw-speed path changed protocol behaviour.
-    """
-    golden = _rehydrate(RECORDINGS[case_id])
-    current = _rehydrate(record_case(protocol, engine="fast", **kwargs))
-    differences = decision_diff(golden, current)
-    assert not differences, (
-        f"{case_id}: fast-engine decision trace diverged from the "
-        f"default-engine recording:\n" + "\n".join(differences)
-    )
-
-
 def test_every_recording_is_exercised():
     exercised = {case_id for case_id, _, _ in golden_cases()}
     assert exercised == set(RECORDINGS), (

@@ -47,7 +47,8 @@ class TestRegistry:
         ids = rule_ids()
         assert {"D101", "D102", "D103", "D104", "D105"} <= set(ids)
         assert {"P201", "P202"} <= set(ids)
-        assert {"S301", "S302", "S303"} <= set(ids)
+        assert {"S302", "S303"} <= set(ids)
+        assert "S301" not in ids
 
     def test_every_rule_has_summary_and_rationale(self):
         for rule in all_rules():
@@ -518,96 +519,6 @@ class TestP202WorkerGlobals:
             """
         )
         assert "P202" not in rules_fired(findings)
-
-
-# ---------------------------------------------------------------------------
-# S301: engine surface parity (fake engine module fixtures)
-# ---------------------------------------------------------------------------
-
-_ENGINE_PATH = "src/repro/sim/engine.py"
-_ENGINE_MOD = "repro.sim.engine"
-
-
-def run_engine(engine_source):
-    return run(
-        engine_source, path=_ENGINE_PATH, module=_ENGINE_MOD, only=("S301",)
-    )
-
-
-class TestS301EngineParity:
-    def test_fires_on_missing_method(self):
-        findings = run_engine(
-            """
-            class Simulator:
-                timer_observer = None
-
-                def run(self, max_time=None):
-                    pass
-
-                def step(self):
-                    pass
-
-            class FastSimulator:
-                timer_observer = None
-
-                def run(self, max_time=None):
-                    pass
-            """
-        )
-        assert any(
-            f.rule == "S301" and "step" in f.message for f in findings
-        )
-
-    def test_fires_on_signature_divergence_and_missing_seam(self):
-        findings = run_engine(
-            """
-            class Simulator:
-                timer_observer = None
-
-                def run(self, max_time=None):
-                    pass
-
-            class FastSimulator:
-                def run(self, until=None):
-                    pass
-            """
-        )
-        messages = [f.message for f in findings if f.rule == "S301"]
-        assert any("signatures diverge" in m for m in messages)
-        assert any("timer_observer" in m for m in messages)
-
-    def test_clean_on_identical_surfaces(self):
-        findings = run_engine(
-            """
-            class Simulator:
-                timer_observer = None
-                _internal = 1
-
-                def run(self, max_time=None):
-                    pass
-
-            class FastSimulator:
-                timer_observer = None
-
-                def run(self, max_time=None):
-                    pass
-
-                def _private_helper(self):
-                    pass
-            """
-        )
-        assert not findings
-
-    def test_silent_when_engine_module_absent(self):
-        findings = run(
-            """
-            class Simulator:
-                def run(self):
-                    pass
-            """,
-            only=("S301",),
-        )
-        assert not findings
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the causal flight recorder, latency attribution, and analyze.
 
 Covers the tentpole (causal graph + flight dumps + attribution exactness,
-identical across engines and inert on decision traces) and the satellite
+inert on decision traces) and the satellite
 fixes that ride with it: sink durability across crash faults, per-flow
 span summaries, and span lifecycles under composed faults.
 """
@@ -43,7 +43,7 @@ def obs_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
-def lossy_transfer(total=150, seed=7, engine="default", causal=True, **kw):
+def lossy_transfer(total=150, seed=7, causal=True, **kw):
     sender, receiver = make_pair("blockack", window=8)
     return run_transfer(
         sender,
@@ -52,7 +52,6 @@ def lossy_transfer(total=150, seed=7, engine="default", causal=True, **kw):
         forward=LinkSpec(delay=UniformDelay(0.5, 1.5), loss=BernoulliLoss(0.08)),
         reverse=LinkSpec(delay=UniformDelay(0.5, 1.5), loss=BernoulliLoss(0.04)),
         seed=seed,
-        engine=engine,
         causal=causal,
         **kw,
     )
@@ -114,17 +113,10 @@ class TestAttribution:
         assert all(r["type"] == "attribution" for r in records)
 
 
-class TestEngineIdentity:
-    def test_nodes_and_attributions_identical_across_engines(self):
-        default = lossy_transfer(engine="default")
-        fast = lossy_transfer(engine="fast")
-        assert default.causal.nodes() == fast.causal.nodes()
-        assert default.causal.attributions == fast.causal.attributions
-
-    @pytest.mark.parametrize("engine", ["default", "fast"])
-    def test_decision_trace_identical_with_causal_on_and_off(self, engine):
-        on = lossy_transfer(engine=engine, causal=True, trace=True)
-        off = lossy_transfer(engine=engine, causal=False, trace=True)
+class TestTraceInertness:
+    def test_decision_trace_identical_with_causal_on_and_off(self):
+        on = lossy_transfer(causal=True, trace=True)
+        off = lossy_transfer(causal=False, trace=True)
         key_on = [e.decision_key() for e in on.trace.events]
         key_off = [e.decision_key() for e in off.trace.events]
         assert key_on == key_off
@@ -253,24 +245,6 @@ class TestHostCausal:
         # channel nodes see the flow id through the mux envelope
         flow_tagged = [n for n in result.causal.nodes() if n[7] is not None]
         assert any(n[3].startswith("channel.") for n in flow_tagged)
-
-    def test_multi_flow_nodes_identical_across_engines(self):
-        kwargs = dict(
-            forward=LinkSpec(
-                delay=UniformDelay(0.5, 1.5), loss=BernoulliLoss(0.05)
-            ),
-            reverse=LinkSpec(delay=UniformDelay(0.5, 1.5)),
-            seed=5,
-            causal=True,
-        )
-        default = run_flows(
-            uniform_flows("blockack", 2, 8, 30), engine="default", **kwargs
-        )
-        fast = run_flows(
-            uniform_flows("blockack", 2, 8, 30), engine="fast", **kwargs
-        )
-        assert default.causal.nodes() == fast.causal.nodes()
-        assert default.causal.attributions == fast.causal.attributions
 
 
 class TestSinkDurability:
@@ -455,7 +429,7 @@ class TestArbiterAttribution:
     arbitration moves latency between buckets, it never leaks any.
     """
 
-    def _arbitrated_session(self, engine="default", sched="drr"):
+    def _arbitrated_session(self, sched="drr"):
         from repro.channel.arbiter import ArbiterConfig
         from repro.sim.host import mixed_flows, run_flows
 
@@ -466,13 +440,11 @@ class TestArbiterAttribution:
             seed=11,
             max_time=40.0,
             causal=True,
-            engine=engine,
             arbiter=ArbiterConfig(rate=3.0, scheduler=sched),
         )
 
-    @pytest.mark.parametrize("engine", ["default", "fast"])
-    def test_components_sum_exactly_with_arbiter(self, engine):
-        session = self._arbitrated_session(engine=engine)
+    def test_components_sum_exactly_with_arbiter(self):
+        session = self._arbitrated_session()
         attributions = session.causal.attributions
         assert attributions, "arbitrated session recorded no deliveries"
         for record in attributions.values():
@@ -505,10 +477,8 @@ class TestArbiterAttribution:
 
 
 class TestRecorderOverheadSeam:
-    def test_timer_observer_default_is_none_on_both_engines(self):
-        from repro.sim.engine import FastSimulator, Simulator
+    def test_timer_observer_default_is_none(self):
+        from repro.sim.engine import Simulator
 
         assert Simulator.timer_observer is None
-        assert FastSimulator.timer_observer is None
         assert Simulator().timer_observer is None
-        assert FastSimulator().timer_observer is None

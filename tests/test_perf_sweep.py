@@ -85,6 +85,35 @@ class TestRunConfigKeys:
         (config,) = make_grid(seeds=(1,))
         assert config.cache_key() == config_digest(config.description())
 
+    # Literal keys: any change to RunConfig's description format (a new
+    # field, a renamed one, a reordered part) silently invalidates every
+    # cached result, so the format is pinned for one plain config and
+    # one arbitrated multi-flow config.
+
+    def test_single_flow_default_cache_key_is_pinned(self):
+        config = RunConfig(
+            protocol="blockack", window=8, total=200,
+            forward=LinkSpec(loss=BernoulliLoss(0.1), max_lifetime=5.0),
+            reverse=LinkSpec(max_lifetime=5.0), seed=3,
+        )
+        assert config.cache_key() == (
+            "d8ba76433357d8a9b1f7bed09ccc1948dc67ae122804b1767d12aa9277cd56c6"
+        )
+        assert config.run_id() == "blockack_w8_n200_s3_d8ba7643"
+
+    def test_arbitrated_multi_flow_cache_key_is_pinned(self):
+        config = RunConfig(
+            protocol="blockack", window=8, total=200,
+            forward=LinkSpec(max_lifetime=5.0),
+            reverse=LinkSpec(max_lifetime=5.0), seed=3,
+            flows=4, link_rate=0.5, sched="drr",
+            protocol_kwargs={"timeout_period": 40.0},
+        )
+        assert config.cache_key() == (
+            "d2e24a6440f4aaf310c6d77fac9c9c3979d604473fa52c43195713384c8025bd"
+        )
+        assert config.run_id() == "blockack_w8_n200_f4_r0.5_drr_s3_d2e24a64"
+
 
 class TestDeterminism:
     def test_serial_matches_direct_execution(self):
