@@ -4,7 +4,8 @@ The arbiter (:mod:`repro.channel.arbiter`) is the tentpole of the
 capacity-limited-link refactor, so its contract is tested directly,
 below the mux/host layers: token-bucket pacing, droptail accounting,
 scheduler ordering (fifo / wrr / drr), and — via hypothesis — DRR's
-grant-conservation and equal-weight fairness properties.
+grant-conservation and equal-weight fairness properties.  Every test
+runs on the bare and the instrumented engine (``ENGINE_VARIANTS``).
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from repro.channel.arbiter import (
     WrrScheduler,
     make_scheduler,
 )
-from repro.sim.engine import Simulator
-
-from .conftest import drain
+from .conftest import ENGINE_VARIANTS, drain
 
 
 def build(sim, **config):
@@ -229,6 +228,7 @@ class TestDrrProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(
+        variant=st.sampled_from(sorted(ENGINE_VARIANTS)),
         nflows=st.integers(min_value=2, max_value=4),
         extra=st.lists(
             st.integers(min_value=0, max_value=25),
@@ -239,9 +239,9 @@ class TestDrrProperties:
         burst=st.floats(min_value=1.0, max_value=6.0),
     )
     def test_drr_conserves_grants_and_splits_evenly(
-        self, nflows, extra, rate, burst
+        self, variant, nflows, extra, rate, burst
     ):
-        sim = Simulator()
+        sim = ENGINE_VARIANTS[variant]()
         grants = []
         arbiter = LinkArbiter(
             sim,

@@ -32,6 +32,8 @@ from repro.robustness.faults import FaultPlan
 from repro.sim.runner import run_transfer
 from repro.workloads.sources import GreedySource
 
+from .conftest import use_engine
+
 
 class TestStateCorruptionSpec:
     def test_validation(self):
@@ -384,6 +386,20 @@ class TestEndToEndRecovery:
         assert stab["reconvergence_time"] >= 0.0
         assert plan.stats.state_corruptions == 1
         assert result.fault_stats["repairs"] == plan.stats.repairs
+
+    def test_fast_engine_recovers_identically(self, monkeypatch):
+        """Corruption injection, repair, and reconvergence timing do not
+        depend on engine instrumentation: the instrumented engine
+        (``ENGINE_VARIANTS["fast"]``) must produce the exact
+        stabilization payload the bare engine does."""
+        default_result, _ = run_corrupted("blockack", "sender.window", "worst")
+        use_engine(monkeypatch, "fast")
+        fast_result, fast_plan = run_corrupted("blockack", "sender.window", "worst")
+        assert fast_result.stabilization == default_result.stabilization
+        assert fast_result.delivered == default_result.delivered
+        assert fast_result.duration == default_result.duration
+        assert fast_result.fault_stats == default_result.fault_stats
+        assert fast_plan.stats.state_corruptions == 1
 
     def test_no_corruption_means_no_stabilization_payload(self):
         sender, receiver = make_pair("blockack", window=6)

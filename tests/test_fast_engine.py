@@ -1,11 +1,15 @@
-"""Edge cases specific to the calendar-queue engine (``FastSimulator``).
+"""Engine edge cases first written for the calendar-queue engine.
 
-The shared engine contract is enforced by ``test_sim_engine.py`` (whose
-``sim`` fixture is parametrized over both engines).  These tests target
-the machinery the heap engine doesn't have: year-bucket scanning across
-cancelled heads, the noop-substitution cancel in the batched drain,
-bucket resizing mid-run, instrument swaps between the lean and
-instrumented drain loops, and cross-process determinism.
+That engine is gone; its edge cases stay, now run against the heap
+engine.  Parametrized cases run on every entry of ``ENGINE_VARIANTS``
+(the bare engine and the instrumented one, test ids ``default`` and
+``fast``); the rest run on :class:`InstrumentedSimulator` and, where
+they compare, against a bare :class:`Simulator`.  Covered: peeking
+across cancelled heads, a callback cancelling a same-timestamp event,
+zero-delay and same-time ties, large fan-outs scheduled mid-drain,
+instrument swaps between the lean and instrumented drain loops,
+exceptions raised by callbacks, cross-process determinism, and the
+``use_engine`` helper that the end-to-end ``fast`` variants rely on.
 """
 
 import subprocess
@@ -13,34 +17,23 @@ import sys
 
 import pytest
 
-from repro.sim.engine import (
-    ENGINES,
-    FastSimulator,
-    Simulator,
-    make_simulator,
-)
+from repro.sim.engine import Simulator
 
-
-def test_make_simulator_engines():
-    assert isinstance(make_simulator("default"), Simulator)
-    assert isinstance(make_simulator("fast"), FastSimulator)
-    with pytest.raises(ValueError):
-        make_simulator("warp")
-    assert set(ENGINES) == {"default", "fast"}
+from .conftest import ENGINE_VARIANTS, InstrumentedSimulator, use_engine
 
 
 class TestPeekAcrossCancelledHeads:
     def test_peek_skips_cancelled_head(self):
-        sim = FastSimulator()
+        sim = InstrumentedSimulator()
         first = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         first.cancel()
         assert sim.peek_time() == 2.0
 
     def test_peek_skips_run_of_cancelled_heads_across_buckets(self):
-        # Cancel heads spread over many year-buckets so the scan has to
-        # walk buckets (and wrap years) before finding a live event.
-        sim = FastSimulator()
+        # a long run of cancelled heads at distinct times: peek has to
+        # discard every one of them before it finds the live event
+        sim = InstrumentedSimulator()
         doomed = [sim.schedule(float(i), lambda: None) for i in range(50)]
         survivor = sim.schedule(50.0, lambda: None)
         for event in doomed:
@@ -53,7 +46,7 @@ class TestPeekAcrossCancelledHeads:
         assert sim.events_processed == 1
 
     def test_peek_empty_after_all_cancelled(self):
-        sim = FastSimulator()
+        sim = InstrumentedSimulator()
         events = [sim.schedule(float(i), lambda: None) for i in range(10)]
         for event in events:
             event.cancel()
@@ -65,15 +58,11 @@ class TestPeekAcrossCancelledHeads:
 class TestIntraBatchCancel:
     """A callback cancelling a same-timestamp, not-yet-fired event.
 
-    Both engines must skip the cancelled event even though it was
-    already pulled into the current batch (fast engine) or sits at the
-    heap top (default engine).  The noop-substitution cancel makes this
-    work without a per-event branch in the lean drain loop.
+    The engine must skip the cancelled event although it already sits
+    at the head of the queue when the earlier callback runs.
     """
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_cancel_later_event_in_same_batch(self, engine):
-        sim = make_simulator(engine)
+    def test_cancel_later_event_in_same_batch(self, sim):
         seen = []
         victim_box = []
 
@@ -81,17 +70,15 @@ class TestIntraBatchCancel:
             seen.append("assassin")
             victim_box[0].cancel()
 
-        # assassin has the earlier seq, so it fires first within the
-        # same-timestamp batch and cancels the already-pulled victim
+        # assassin has the earlier seq, so it fires first at t=1 and
+        # cancels the victim queued for the same instant
         sim.schedule(1.0, assassin)
         victim_box.append(sim.schedule(1.0, seen.append, "victim"))
         sim.run()
         assert seen == ["assassin"]
         assert not victim_box[0].pending
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_cancelled_batch_member_not_counted_as_processed(self, engine):
-        sim = make_simulator(engine)
+    def test_cancelled_batch_member_not_counted_as_processed(self, sim):
         victim_box = []
 
         def assassin():
@@ -104,14 +91,12 @@ class TestIntraBatchCancel:
         # assassin + trailing noop fire; the victim must not be counted
         assert sim.events_processed == 2
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_double_cancel_is_idempotent(self, engine):
-        sim = make_simulator(engine)
+    def test_double_cancel_is_idempotent(self, sim):
         victim_box = []
 
         def assassin():
             victim_box[0].cancel()
-            victim_box[0].cancel()  # must not un-swap the noop
+            victim_box[0].cancel()
 
         sim.schedule(1.0, assassin)
         victim_box.append(sim.schedule(1.0, lambda: None))
@@ -121,12 +106,9 @@ class TestIntraBatchCancel:
 
 
 class TestZeroDelayTies:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_zero_delay_self_reschedule_preserves_fifo(self, engine):
+    def test_zero_delay_self_reschedule_preserves_fifo(self, sim):
         """Zero-delay rescheduling at the current timestamp: new events
-        join the *end* of the current batch (seq order), exactly like
-        the heap engine's tie-break."""
-        sim = make_simulator(engine)
+        run after every event already queued for that instant."""
         order = []
 
         def ping(tag, remaining):
@@ -141,13 +123,12 @@ class TestZeroDelayTies:
         assert sim.now == 1.0
 
     def test_schedule_at_into_current_bucket(self):
-        """schedule_at targeting the bucket currently being drained."""
-        sim = FastSimulator()
+        """schedule_at a hair after the instant currently being drained."""
+        sim = InstrumentedSimulator()
         seen = []
 
         def first():
             seen.append(("first", sim.now))
-            # same year-bucket as the executing batch, later time
             sim.schedule_at(1.0 + 1e-9, lambda: seen.append(("second", sim.now)))
 
         sim.schedule_at(1.0, first)
@@ -157,7 +138,7 @@ class TestZeroDelayTies:
         assert times[0] == 1.0 and times[1] > 1.0
 
     def test_same_time_schedule_at_from_callback_joins_batch(self):
-        sim = FastSimulator()
+        sim = InstrumentedSimulator()
         seen = []
 
         def first():
@@ -172,46 +153,34 @@ class TestZeroDelayTies:
 
 class TestResizeMidRun:
     def test_growth_through_many_resizes_keeps_order(self):
-        """Push enough events through to force several quadrupling
-        resizes while the drain is running; order must stay exact."""
-        sim = FastSimulator()
-        fired = []
+        """Fan thousands of events out from inside callbacks while the
+        drain is running; the instrumented engine must fire exactly the
+        sequence the bare engine fires."""
 
-        def burst(base):
-            fired.append(base)
-            if base < 5:
-                # fan a fresh wave out from inside a callback so the
-                # resize happens while _running is True (deferred path)
-                for offset in range(400):
-                    sim.schedule(
-                        0.5 + (offset % 7) * 0.125,
-                        fired.append,
-                        (base, offset),
-                    )
-                sim.schedule(10.0, burst, base + 1)
+        def fan_out(sim):
+            fired = []
 
-        sim.schedule(0.0, burst, 0)
-        sim.run()
+            def burst(base):
+                fired.append(base)
+                if base < 5:
+                    for offset in range(400):
+                        sim.schedule(
+                            0.5 + (offset % 7) * 0.125,
+                            fired.append,
+                            (base, offset),
+                        )
+                    sim.schedule(10.0, burst, base + 1)
+
+            sim.schedule(0.0, burst, 0)
+            sim.run()
+            return fired
+
+        sim = InstrumentedSimulator()
+        fired = fan_out(sim)
         assert sim.pending_count == 0
         assert len(fired) == 6 + 5 * 400
-        # cross-check the exact sequence against the heap engine
         ref_sim = Simulator()
-        ref_fired = []
-
-        def ref_burst(base):
-            ref_fired.append(base)
-            if base < 5:
-                for offset in range(400):
-                    ref_sim.schedule(
-                        0.5 + (offset % 7) * 0.125,
-                        ref_fired.append,
-                        (base, offset),
-                    )
-                ref_sim.schedule(10.0, ref_burst, base + 1)
-
-        ref_sim.schedule(0.0, ref_burst, 0)
-        ref_sim.run()
-        assert fired == ref_fired
+        assert fired == fan_out(ref_sim)
         assert sim.now == ref_sim.now
         assert sim.events_processed == ref_sim.events_processed
 
@@ -232,20 +201,18 @@ class TestInstrumentSwap:
         def on_cancel_discard(self):
             self.discards += 1
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_mid_run_attach_defers_drain_hooks_to_next_run(self, engine):
-        """Both engines bind the drain body once per ``run()`` call: a
-        mid-run attach leaves the current (lean) drain untouched, but
-        the *schedule* hook — swapped as an instance attribute — is
-        live immediately, and the next drain call is instrumented."""
-        sim = make_simulator(engine)
+    def test_mid_run_attach_defers_drain_hooks_to_next_run(self, sim):
+        """The drain body is bound once per ``run()`` call: a mid-run
+        attach does not reach the current drain, but the *schedule*
+        hook — swapped as an instance attribute — is live immediately,
+        and the next drain call reports to the new instruments."""
         instruments = self._Instruments()
         seen = []
 
         def attach():
             seen.append("attach")
             sim.set_instruments(instruments)
-            # schedule() is already the instrumented twin here
+            # schedule() already reports to the new instruments here
             sim.schedule(1.0, seen.append, "post-attach")
 
         sim.schedule(1.0, attach)
@@ -254,16 +221,14 @@ class TestInstrumentSwap:
         assert seen == ["attach", "observed-a", "post-attach"]
         assert sim.events_processed == 3
         assert len(instruments.schedules) == 1  # the post-attach schedule
-        assert instruments.fires == []  # this drain stayed lean
+        assert instruments.fires == []  # this drain kept its instruments
 
         sim.schedule(1.0, seen.append, "next-run")
         sim.run()
         assert seen[-1] == "next-run"
         assert len(instruments.fires) == 1  # fresh drain is instrumented
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_mid_run_detach_keeps_current_drain_instrumented(self, engine):
-        sim = make_simulator(engine)
+    def test_mid_run_detach_keeps_current_drain_instrumented(self, sim):
         instruments = self._Instruments()
         sim.set_instruments(instruments)
         seen = []
@@ -288,11 +253,9 @@ class TestInstrumentSwap:
 
 
 class TestExceptionPropagation:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_exception_preserves_pending_events(self, engine):
+    def test_exception_preserves_pending_events(self, sim):
         """A raising callback leaves the rest of the queue intact and
         resumable, and counts the raising event as processed."""
-        sim = make_simulator(engine)
         seen = []
 
         def boom():
@@ -308,13 +271,11 @@ class TestExceptionPropagation:
         assert seen == ["before", "boom"]
         assert sim.events_processed == 2
         assert sim.pending_count == 2
-        sim.run()  # resumable: the put-back events still fire in order
+        sim.run()  # resumable: the queued events still fire in order
         assert seen == ["before", "boom", "same-time-later", "after"]
         assert sim.events_processed == 4
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_exception_with_cancelled_batch_member(self, engine):
-        sim = make_simulator(engine)
+    def test_exception_with_cancelled_batch_member(self, sim):
         victim_box = []
 
         def boom():
@@ -331,11 +292,36 @@ class TestExceptionPropagation:
         assert sim.pending_count == 1
 
 
+def test_use_engine_reaches_every_simulator_site(monkeypatch):
+    """``use_engine`` must swap the engine that ``run_transfer``,
+    ``run_flows`` and the bench workloads build, or every ``fast``
+    end-to-end variant silently reruns the bare engine."""
+    from repro.perf.bench import _engine_chain, _transfer
+    from repro.sim.host import run_flows, uniform_flows
+
+    built = []
+
+    class Recording(InstrumentedSimulator):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setitem(ENGINE_VARIANTS, "fast", Recording)
+    use_engine(monkeypatch, "fast")
+    _engine_chain(10)
+    _transfer(10)
+    run_flows(uniform_flows("blockack", 2, 4, 5), seed=1)
+    assert len(built) == 3
+
+
 _DETERMINISM_SNIPPET = """
 import json
-from repro.sim.engine import make_simulator
+from repro.obs import MetricsRegistry
+from repro.obs.session import SimInstruments
+from repro.sim.engine import Simulator
 
-sim = make_simulator("fast")
+sim = Simulator()
+sim.set_instruments(SimInstruments(MetricsRegistry()))
 log = []
 
 def tick(tag, n):
@@ -351,8 +337,9 @@ print(json.dumps([sim.events_processed, sim.now, log]))
 
 
 def test_fast_engine_deterministic_across_hash_seeds():
-    """The calendar queue must not depend on hash ordering: identical
-    runs under different PYTHONHASHSEED values produce identical logs."""
+    """The instrumented engine must not depend on hash ordering:
+    identical runs under different PYTHONHASHSEED values produce
+    identical logs."""
     outputs = set()
     for hash_seed in ("0", "1", "424242"):
         result = subprocess.run(

@@ -16,6 +16,7 @@ import pytest
 from repro.trace.events import EventKind
 from repro.trace.recorder import decision_diff
 
+from .conftest import use_engine
 from .golden.generate import GOLDEN_PATH, golden_cases, record_case
 
 RECORDINGS = json.loads(GOLDEN_PATH.read_text())
@@ -43,6 +44,32 @@ def test_decision_trace_matches_golden(case_id, protocol, kwargs):
     differences = decision_diff(golden, current)
     assert not differences, (
         f"{case_id}: decision trace diverged from the pre-refactor "
+        f"recording:\n" + "\n".join(differences)
+    )
+
+
+@pytest.mark.parametrize(
+    "case_id,protocol,kwargs",
+    golden_cases(),
+    ids=[f"fast-{case_id}" for case_id, _, _ in golden_cases()],
+)
+def test_decision_trace_matches_golden_fast_engine(
+    case_id, protocol, kwargs, monkeypatch
+):
+    """The instrumented engine must reproduce every recording too.
+
+    With :class:`SimInstruments` attached the engine schedules and
+    drains through its instrumented twin loops; those loops only count,
+    so any divergence here means instrumentation changed protocol
+    behaviour.  (The ``fast`` id is the one this check carried when it
+    ran on the calendar-queue engine.)
+    """
+    use_engine(monkeypatch, "fast")
+    golden = _rehydrate(RECORDINGS[case_id])
+    current = _rehydrate(record_case(protocol, **kwargs))
+    differences = decision_diff(golden, current)
+    assert not differences, (
+        f"{case_id}: instrumented-engine decision trace diverged from the "
         f"recording:\n" + "\n".join(differences)
     )
 

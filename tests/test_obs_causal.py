@@ -1,7 +1,7 @@
 """Tests for the causal flight recorder, latency attribution, and analyze.
 
 Covers the tentpole (causal graph + flight dumps + attribution exactness,
-inert on decision traces) and the satellite
+identical on the bare and instrumented engine, inert on decision traces) and the satellite
 fixes that ride with it: sink durability across crash faults, per-flow
 span summaries, and span lifecycles under composed faults.
 """
@@ -34,6 +34,8 @@ from repro.robustness.faults import CrashRestart, FaultPlan
 from repro.sim.host import run_flows, uniform_flows
 from repro.sim.runner import LinkSpec, run_transfer
 from repro.workloads.sources import GreedySource
+
+from .conftest import ENGINE_VARIANTS, use_engine
 
 
 @pytest.fixture
@@ -113,8 +115,22 @@ class TestAttribution:
         assert all(r["type"] == "attribution" for r in records)
 
 
-class TestTraceInertness:
-    def test_decision_trace_identical_with_causal_on_and_off(self):
+class TestEngineIdentity:
+    """The causal layer sees the same run on the bare and the
+    instrumented engine (``ENGINE_VARIANTS`` in ``conftest.py``)."""
+
+    def test_nodes_and_attributions_identical_across_engines(self, monkeypatch):
+        default = lossy_transfer()
+        use_engine(monkeypatch, "fast")
+        fast = lossy_transfer()
+        assert default.causal.nodes() == fast.causal.nodes()
+        assert default.causal.attributions == fast.causal.attributions
+
+    @pytest.mark.parametrize("variant", list(ENGINE_VARIANTS))
+    def test_decision_trace_identical_with_causal_on_and_off(
+        self, variant, monkeypatch
+    ):
+        use_engine(monkeypatch, variant)
         on = lossy_transfer(causal=True, trace=True)
         off = lossy_transfer(causal=False, trace=True)
         key_on = [e.decision_key() for e in on.trace.events]
@@ -245,6 +261,22 @@ class TestHostCausal:
         # channel nodes see the flow id through the mux envelope
         flow_tagged = [n for n in result.causal.nodes() if n[7] is not None]
         assert any(n[3].startswith("channel.") for n in flow_tagged)
+
+
+    def test_multi_flow_nodes_identical_across_engines(self, monkeypatch):
+        kwargs = dict(
+            forward=LinkSpec(
+                delay=UniformDelay(0.5, 1.5), loss=BernoulliLoss(0.05)
+            ),
+            reverse=LinkSpec(delay=UniformDelay(0.5, 1.5)),
+            seed=5,
+            causal=True,
+        )
+        default = run_flows(uniform_flows("blockack", 2, 8, 30), **kwargs)
+        use_engine(monkeypatch, "fast")
+        fast = run_flows(uniform_flows("blockack", 2, 8, 30), **kwargs)
+        assert default.causal.nodes() == fast.causal.nodes()
+        assert default.causal.attributions == fast.causal.attributions
 
 
 class TestSinkDurability:
@@ -443,7 +475,9 @@ class TestArbiterAttribution:
             arbiter=ArbiterConfig(rate=3.0, scheduler=sched),
         )
 
-    def test_components_sum_exactly_with_arbiter(self):
+    @pytest.mark.parametrize("variant", list(ENGINE_VARIANTS))
+    def test_components_sum_exactly_with_arbiter(self, variant, monkeypatch):
+        use_engine(monkeypatch, variant)
         session = self._arbitrated_session()
         attributions = session.causal.attributions
         assert attributions, "arbitrated session recorded no deliveries"
@@ -477,8 +511,7 @@ class TestArbiterAttribution:
 
 
 class TestRecorderOverheadSeam:
-    def test_timer_observer_default_is_none(self):
-        from repro.sim.engine import Simulator
-
-        assert Simulator.timer_observer is None
-        assert Simulator().timer_observer is None
+    def test_timer_observer_default_is_none_on_both_engines(self):
+        for engine_cls in ENGINE_VARIANTS.values():
+            assert engine_cls.timer_observer is None
+            assert engine_cls().timer_observer is None

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.perf.bench import (
     _channel_transit,
     _engine_chain,
@@ -12,6 +14,8 @@ from repro.perf.bench import (
     run_profile,
     update_bench_json,
 )
+
+from .conftest import ENGINE_VARIANTS, use_engine
 
 
 class TestCompareBench:
@@ -91,19 +95,23 @@ class TestUpdateBenchJson:
 
 
 class TestWorkloads:
-    """The micro workloads themselves, at tiny sizes."""
+    """The micro workloads themselves, at tiny sizes, on the bare and
+    the instrumented engine."""
 
-    def test_engine_workloads_count_events(self):
+    @pytest.mark.parametrize("variant", list(ENGINE_VARIANTS))
+    def test_engine_workloads_count_events(self, variant, monkeypatch):
+        use_engine(monkeypatch, variant)
         assert _engine_chain(500) == 500
         assert _engine_fanout(500) == 500
         assert _channel_transit(200) == 200
 
-    def test_transfer_is_deterministic(self):
-        first = _transfer(60)
-        second = _transfer(60)
-        assert first[0] == 60
-        # virtual-time throughput is a pure function of the seed
-        assert first == second
+    def test_transfer_engines_agree(self, monkeypatch):
+        delivered_default, throughput_default = _transfer(60)
+        use_engine(monkeypatch, "fast")
+        delivered_fast, throughput_fast = _transfer(60)
+        assert delivered_default == delivered_fast == 60
+        # virtual-time throughput is deterministic and instrument-invariant
+        assert throughput_default == throughput_fast
 
 
 def test_run_profile_writes_dumps(tmp_path):

@@ -256,162 +256,3 @@ class TestRunWhile:
         sim.schedule(1.0, evil)
         with pytest.raises(SimulationError):
             sim.run_while(lambda: True)
-
-
-class TestSameTimestampCancel:
-    """A callback cancelling a same-timestamp, not-yet-fired event."""
-
-    def test_cancel_later_event_at_same_time(self, sim):
-        seen = []
-        victim_box = []
-
-        def assassin():
-            seen.append("assassin")
-            victim_box[0].cancel()
-
-        # assassin has the earlier seq, so it fires first at t=1 and
-        # cancels the victim while it sits at the head of the queue
-        sim.schedule(1.0, assassin)
-        victim_box.append(sim.schedule(1.0, seen.append, "victim"))
-        sim.run()
-        assert seen == ["assassin"]
-        assert not victim_box[0].pending
-
-    def test_cancelled_event_not_counted_as_processed(self, sim):
-        victim_box = []
-
-        def assassin():
-            victim_box[0].cancel()
-
-        sim.schedule(1.0, assassin)
-        victim_box.append(sim.schedule(1.0, lambda: None))
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        # assassin + trailing noop fire; the victim must not be counted
-        assert sim.events_processed == 2
-
-
-class TestZeroDelayTies:
-    def test_zero_delay_self_reschedule_preserves_fifo(self, sim):
-        """Zero-delay rescheduling at the current timestamp: new events
-        run after every event already queued for that instant."""
-        order = []
-
-        def ping(tag, remaining):
-            order.append(tag)
-            if remaining:
-                sim.schedule(0.0, ping, tag, remaining - 1)
-
-        sim.schedule(1.0, ping, "a", 2)
-        sim.schedule(1.0, ping, "b", 2)
-        sim.run()
-        assert order == ["a", "b", "a", "b", "a", "b"]
-        assert sim.now == 1.0
-
-
-class _Instruments:
-    def __init__(self):
-        self.schedules = []
-        self.fires = []
-        self.discards = 0
-
-    def on_schedule(self, queue_len):
-        self.schedules.append(queue_len)
-
-    def on_fire(self, queue_len):
-        self.fires.append(queue_len)
-
-    def on_cancel_discard(self):
-        self.discards += 1
-
-
-class TestInstrumentSwap:
-    def test_mid_run_attach_defers_drain_hooks_to_next_run(self, sim):
-        """The drain body is bound once per ``run()`` call: a mid-run
-        attach leaves the current (lean) drain untouched, but the
-        *schedule* hook — swapped as an instance attribute — is live
-        immediately, and the next drain call is instrumented."""
-        instruments = _Instruments()
-        seen = []
-
-        def attach():
-            seen.append("attach")
-            sim.set_instruments(instruments)
-            # schedule() is already the instrumented twin here
-            sim.schedule(1.0, seen.append, "post-attach")
-
-        sim.schedule(1.0, attach)
-        sim.schedule(2.0, seen.append, "observed-a")
-        sim.run()
-        assert seen == ["attach", "observed-a", "post-attach"]
-        assert sim.events_processed == 3
-        assert len(instruments.schedules) == 1  # the post-attach schedule
-        assert instruments.fires == []  # this drain stayed lean
-
-        sim.schedule(1.0, seen.append, "next-run")
-        sim.run()
-        assert seen[-1] == "next-run"
-        assert len(instruments.fires) == 1  # fresh drain is instrumented
-
-    def test_mid_run_detach_keeps_current_drain_instrumented(self, sim):
-        instruments = _Instruments()
-        sim.set_instruments(instruments)
-        seen = []
-
-        def detach():
-            seen.append("detach")
-            sim.set_instruments(None)
-
-        sim.schedule(1.0, detach)
-        sim.schedule(2.0, seen.append, "after")
-        sim.run()
-        assert seen == ["detach", "after"]
-        assert sim.events_processed == 2
-        # the in-flight drain captured the instruments at entry...
-        assert len(instruments.fires) == 2
-        assert len(instruments.schedules) == 2
-        # ...but the next drain (and schedule) runs lean again
-        sim.schedule(1.0, seen.append, "lean")
-        sim.run()
-        assert len(instruments.fires) == 2
-        assert len(instruments.schedules) == 2
-
-
-class TestExceptionPropagation:
-    def test_exception_preserves_pending_events(self, sim):
-        """A raising callback leaves the rest of the queue intact and
-        resumable, and counts the raising event as processed."""
-        seen = []
-
-        def boom():
-            seen.append("boom")
-            raise RuntimeError("bang")
-
-        sim.schedule(1.0, seen.append, "before")
-        sim.schedule(2.0, boom)
-        sim.schedule(2.0, seen.append, "same-time-later")
-        sim.schedule(3.0, seen.append, "after")
-        with pytest.raises(RuntimeError):
-            sim.run()
-        assert seen == ["before", "boom"]
-        assert sim.events_processed == 2
-        assert sim.pending_count == 2
-        sim.run()  # resumable: the queued events still fire in order
-        assert seen == ["before", "boom", "same-time-later", "after"]
-        assert sim.events_processed == 4
-
-    def test_exception_with_cancelled_same_time_event(self, sim):
-        victim_box = []
-
-        def boom():
-            victim_box[0].cancel()
-            raise RuntimeError("bang")
-
-        sim.schedule(1.0, boom)
-        victim_box.append(sim.schedule(1.0, lambda: None))
-        sim.schedule(1.0, lambda: None)
-        with pytest.raises(RuntimeError):
-            sim.run()
-        # boom fired (and is counted); victim was cancelled, not fired
-        assert sim.events_processed == 1
-        assert sim.pending_count == 1
