@@ -41,7 +41,7 @@ acks is that ack traffic is cheap — so the reverse channel keeps the
 pure loss/delay model.
 
 One modelling caveat worth stating loudly: the safe-timeout derivation
-(:func:`~repro.sim.runner._derive_timeout`) bounds retransmission
+(:func:`~repro.sim.host._derive_timeout`) bounds retransmission
 ambiguity using the *channel's* ``effective_max_lifetime``.  An arbiter
 queue adds wait *before* the channel, so under a saturating offered
 load the true submit→deliver lifetime is no longer bounded by the link

@@ -21,10 +21,10 @@ pins the contract once:
 from __future__ import annotations
 
 import abc
-from typing import Any, List
+from typing import Any, Dict, List
 
 __all__ = ["ChannelSurface", "CHANNEL_SURFACE_METHODS", "CHANNEL_SURFACE_ATTRS",
-           "missing_surface"]
+           "missing_surface", "link_stats"]
 
 #: callables the harness invokes on every channel-shaped object
 CHANNEL_SURFACE_METHODS = (
@@ -92,3 +92,17 @@ def missing_surface(channel: Any) -> List[str]:
         if not hasattr(channel, attr):
             problems.append(attr)
     return problems
+
+
+def link_stats(channel: Any) -> Dict[str, Any]:
+    """A channel's final counters as a dict.
+
+    A framed link (:class:`~repro.wire.framed.FramedChannel`) adds its
+    corruption counters: ``corrupted``, ``discarded`` and ``bytes_sent``.
+    """
+    stats = channel.stats.as_dict()
+    if hasattr(channel, "discarded"):
+        stats["corrupted"] = channel.corrupted
+        stats["discarded"] = channel.discarded
+        stats["bytes_sent"] = channel.bytes_sent
+    return stats

@@ -22,7 +22,8 @@ itself to every instrumentable layer:
 * the **invariant probe** — optional sampled checking of assertions
   6 ∧ 7 ∧ 8 (see :mod:`repro.obs.probes`).
 
-``run_transfer(..., obs=True)`` builds one of these per run; parallel
+:class:`~repro.sim.host.SessionHost` (behind ``run_transfer(...,
+obs=True)`` and ``run_flows``) builds one of these per run; parallel
 sweep workers therefore never share registry state.  At the end,
 :meth:`export` streams meta + events + spans + snapshot to a
 ``results/obs/<run_id>.jsonl`` file via :class:`~repro.obs.sink.JsonlSink`.
@@ -34,6 +35,7 @@ import os
 import pathlib
 from typing import Any, Dict, List, Optional
 
+from repro.channel.surface import link_stats
 from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from repro.obs.sink import SCHEMA_VERSION, JsonlSink
 from repro.obs.spans import ObsRecorder, SpanTracker
@@ -172,13 +174,15 @@ class Observability:
         self.sample_invariants_every = sample_invariants_every
         self.span_tracker = SpanTracker(self.registry)
         self.probe = None  # set by install_probe
-        self.recorder: Optional[ObsRecorder] = None
+        # the recorder export() reads events from: this session's tee
+        # (make_recorder), or a session host's shared trace recorder
+        self.recorder: Optional[Any] = None
         self.causal = None  # CausalRecorder, when the causal layer is on
         self._channel_stats: List[tuple] = []  # (link, channel)
         self._extra_trackers: List[SpanTracker] = []  # per-flow trackers
 
     # ------------------------------------------------------------------
-    # wiring (called by run_transfer, or by hand for custom harnesses)
+    # wiring (called by SessionHost, or by hand for custom harnesses)
     # ------------------------------------------------------------------
 
     def make_recorder(self, sim, inner) -> ObsRecorder:
@@ -262,12 +266,7 @@ class Observability:
                 labelnames=("link", "stat"),
             )
             for link, channel in self._channel_stats:
-                stats = channel.stats.as_dict()
-                if hasattr(channel, "discarded"):  # framed link wrapper
-                    stats["corrupted"] = channel.corrupted
-                    stats["discarded"] = channel.discarded
-                    stats["bytes_sent"] = channel.bytes_sent
-                for stat, value in stats.items():
+                for stat, value in link_stats(channel).items():
                     gauge.labels(link=link, stat=stat).set(value)
         if result is not None:
             self.registry.gauge(

@@ -181,7 +181,7 @@ class SpanTracker:
         """``seq`` was released in order; returns its latency, if known.
 
         Normally the DELIVER trace record drives this via
-        :meth:`on_event`; the runner also calls it directly from its
+        :meth:`on_event`; the session host also calls it directly from its
         ``on_deliver`` callback so protocols that do not emit DELIVER
         records still produce complete spans.
         """

@@ -285,14 +285,9 @@ def execute_config(config: RunConfig) -> TransferResult:
         )
 
     if config.flows > 1 or arbiter is not None or config.flow_windows is not None:
-        if plan is not None:
-            raise ValueError(
-                "fault plans script a single endpoint pair; multi-flow "
-                "sessions do not support them yet (see ROADMAP open items)"
-            )
         from repro.sim.host import (  # local: avoid cycles
+            SessionHost,
             mixed_flows,
-            run_flows,
             session_to_transfer,
             uniform_flows,
         )
@@ -317,7 +312,8 @@ def execute_config(config: RunConfig) -> TransferResult:
                 for spec, weight in zip(specs, config.flow_weights):
                     spec.weight = weight
 
-        session = run_flows(
+        # the host rejects a fault plan on a muxed (multi-flow) session
+        session = SessionHost(
             specs,
             forward=config.forward,
             reverse=config.reverse,
@@ -325,6 +321,7 @@ def execute_config(config: RunConfig) -> TransferResult:
             max_time=config.max_time,
             max_events=config.max_events,
             monitor_invariants=config.monitor_invariants,
+            fault_plan=plan,
             obs=config.obs,
             obs_run_id=(
                 config.run_id() if (config.obs or config.causal) else None
@@ -332,33 +329,30 @@ def execute_config(config: RunConfig) -> TransferResult:
             obs_labels=obs_labels,
             causal=config.causal,
             arbiter=arbiter,
-        )
+        ).run()
         result = session_to_transfer(session)
-        if result.obs is not None:
-            result.obs_path = str(result.obs.export())
-        return result
-
-    sender, receiver = make_pair(
-        config.protocol, window=config.window, **config.protocol_kwargs
-    )
-    result = run_transfer(
-        sender,
-        receiver,
-        GreedySource(config.total),
-        forward=config.forward,
-        reverse=config.reverse,
-        seed=config.seed,
-        max_time=config.max_time,
-        max_events=config.max_events,
-        monitor_invariants=config.monitor_invariants,
-        fault_plan=plan,
-        obs=config.obs,
-        obs_run_id=(
-            config.run_id() if (config.obs or config.causal) else None
-        ),
-        obs_labels=obs_labels,
-        causal=config.causal,
-    )
+    else:
+        sender, receiver = make_pair(
+            config.protocol, window=config.window, **config.protocol_kwargs
+        )
+        result = run_transfer(
+            sender,
+            receiver,
+            GreedySource(config.total),
+            forward=config.forward,
+            reverse=config.reverse,
+            seed=config.seed,
+            max_time=config.max_time,
+            max_events=config.max_events,
+            monitor_invariants=config.monitor_invariants,
+            fault_plan=plan,
+            obs=config.obs,
+            obs_run_id=(
+                config.run_id() if (config.obs or config.causal) else None
+            ),
+            obs_labels=obs_labels,
+            causal=config.causal,
+        )
     if result.obs is not None:
         # exported eagerly, in the worker process, under a deterministic
         # name: the file outlives the process and its path rides the

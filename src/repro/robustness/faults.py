@@ -38,8 +38,11 @@ corruption draws come from yet another stream, so adding a
 therefore the whole wire schedule up to the corruption instant)
 untouched.
 
-``run_transfer(..., fault_plan=plan)`` installs the plan after wiring;
-experiments read the injection counters back from ``plan.stats``.  A
+``run_transfer(..., fault_plan=plan)`` hands the plan to
+:class:`~repro.sim.host.SessionHost`, which installs it after wiring a
+one-flow session and uninstalls it when the run ends (a muxed session
+rejects it); experiments read the injection counters back from
+``plan.stats``.  A
 plan instance wires into exactly one transfer: :meth:`FaultPlan.install`
 raises on re-install (re-wrapping the loss models would double-wrap
 them and desynchronize their rng streams) and :meth:`FaultPlan.uninstall`

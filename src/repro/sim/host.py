@@ -1,34 +1,37 @@
-"""Multi-flow session host: N protocol flows over one shared link pair.
+"""Session host: the one harness that builds, wires, drains and measures runs.
 
-:func:`~repro.sim.runner.run_transfer` wires exactly one sender/receiver
-pair to dedicated channels — the paper's setting.  A production-scale
-deployment of the window protocol multiplexes *many* concurrent flows
-over the same impaired links, which is where per-connection window
-behaviour, link sharing, and fairness start to matter (Ghaderi &
-Towsley; Jain — see PAPERS.md).  :class:`SessionHost` realises that
-regime on the existing machinery:
+:class:`SessionHost` runs N protocol flows over one link pair.  It
+builds the simulator and the two channels from :class:`~repro.sim.runner
+.LinkSpec` descriptions, attaches each sender/receiver pair and its
+traffic source, derives a provably safe timeout period when a sender
+has none, wires the requested monitors and telemetry, drains the
+simulation to completion (or a time/event budget), and collects one
+:class:`FlowResult` per flow plus aggregate goodput and the Jain
+fairness index (:class:`SessionResult`).
 
-* one **forward** and one **reverse** channel are built from the usual
-  :class:`~repro.sim.runner.LinkSpec` descriptions — loss, delay,
-  aging, and framing act on the *shared* link, not per-flow copies;
-* a :class:`~repro.channel.mux.FlowMux` per direction tags each flow's
-  traffic with its flow id and demultiplexes deliveries, so every
-  endpoint pair sees an ordinary channel surface
-  (:class:`~repro.channel.mux.FlowPort`, labelled ``SR.f<id>``);
-* each flow gets its own trace actor names (``sender.f<id>``), span
-  tracker, latency bookkeeping, and — when requested — its own
+* **One flow, no active arbiter** is the paper's setting, and
+  :func:`~repro.sim.runner.run_transfer` is exactly this case: the
+  endpoints attach to the built ``SR``/``RS`` channels directly, with
+  no mux and no envelope, so wire bytes, decision traces and
+  telemetry exports are those of a dedicated link pair.  Only here may
+  a :class:`~repro.robustness.faults.FaultPlan` be installed, because
+  its crash/restart scripting names a single endpoint pair.
+* **N >= 2 flows, or an active arbiter**, share the link through a
+  :class:`~repro.channel.mux.FlowMux` per direction, which tags each
+  flow's traffic with its flow id and demultiplexes deliveries, so
+  every endpoint pair sees an ordinary channel surface
+  (:class:`~repro.channel.mux.FlowPort`, labelled ``SR.f<id>``).  Loss,
+  delay, aging and framing act on the *shared* link.  Each flow gets
+  its own trace actor names (``sender.f<id>``), span tracker, latency
+  bookkeeping and — when requested — its own
   :class:`~repro.verify.runtime.InvariantMonitor` or sampled
   :class:`~repro.obs.probes.InvariantProbe`, because the paper's
-  invariant 6 ∧ 7 ∧ 8 is a *per-flow* statement: each flow's counters,
-  in-flight data, and ack spans form an independent instance of the
-  protocol over its slice of the link.
+  invariant 6 ∧ 7 ∧ 8 is a *per-flow* statement (Ghaderi & Towsley;
+  Jain — see PAPERS.md).
 
-:func:`run_flows` is the entry point.  With one flow it delegates to
-:func:`~repro.sim.runner.run_transfer` unchanged (byte-identical
-results, same decision trace — ``run_transfer`` *is* the N=1 special
-case); with N >= 2 it runs the shared-link session and returns a
-:class:`SessionResult` holding per-flow :class:`FlowResult` rows plus
-aggregate goodput and the Jain fairness index across flows.
+:func:`run_flows` is the entry point for sessions;
+:func:`session_to_transfer` flattens a session into the sweep runner's
+:class:`~repro.sim.runner.TransferResult` shape.
 """
 
 from __future__ import annotations
@@ -39,15 +42,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.analysis.stats import jain_fairness
 from repro.channel.arbiter import ArbiterConfig
 from repro.channel.mux import FlowMux
+from repro.channel.surface import link_stats
+from repro.core.messages import BlockAck, DataMessage
 from repro.protocols.base import ReceiverEndpoint, SenderEndpoint
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
-from repro.sim.runner import (
-    LinkSpec,
-    TransferResult,
-    _derive_timeout,
-    run_transfer,
-)
+from repro.sim.runner import LinkSpec, TransferResult
+from repro.trace.events import EventKind
 from repro.trace.recorder import NullRecorder, TraceRecorder
 from repro.workloads.sources import GreedySource, Source
 
@@ -81,7 +82,7 @@ class FlowSpec:
 
 @dataclass
 class FlowResult:
-    """Everything measured for one flow of a multi-flow session."""
+    """Everything measured for one flow of a session."""
 
     flow: int
     label: str
@@ -137,7 +138,7 @@ class FlowResult:
 
 @dataclass
 class SessionResult:
-    """Per-flow plus aggregate outcome of one multi-flow session."""
+    """Per-flow plus aggregate outcome of one session."""
 
     completed: bool  # every flow finished
     duration: float
@@ -154,7 +155,8 @@ class SessionResult:
     obs_path: Optional[str] = None
     causal: Any = None  # CausalRecorder when the causal layer was on
     flight_path: Optional[str] = None  # flight dump, when a trigger fired
-    transfer: Optional[TransferResult] = None  # set on the N=1 path
+    fault_stats: dict = field(default_factory=dict)  # injected-fault counters
+    stabilization: Optional[dict] = None  # corruption-recovery verdict
 
     @property
     def throughput(self) -> float:
@@ -274,73 +276,78 @@ def _wire_domain(sender: Any) -> Optional[int]:
     return domain
 
 
-def _session_from_transfer(
-    spec: FlowSpec, result: TransferResult
-) -> SessionResult:
-    """Wrap the N=1 delegation's TransferResult as a session result."""
-    flow = FlowResult(
-        flow=0,
-        label=spec.label,
-        completed=result.completed,
-        delivered=result.delivered,
-        submitted=result.submitted,
-        in_order=result.in_order,
-        ordered_prefix=result.ordered_prefix,
-        duration=result.duration,
-        sender_stats=result.sender_stats,
-        receiver_stats=result.receiver_stats,
-        forward_stats=result.forward_stats,
-        reverse_stats=result.reverse_stats,
-        latencies=result.latencies,
-        timeout_period=result.timeout_period,
-        monitor=result.monitor,
-        delivered_payloads=result.delivered_payloads,
+def _derive_timeout(sender, receiver, forward, reverse) -> None:
+    """Give the sender a provably safe timeout period if it has none.
+
+    Also fills in the sender's ``reverse_lifetime`` (the coverage-release
+    drain wait of the per-message-safe mode) with the tight channel bound
+    when the sender has the attribute and no explicit value.
+    """
+    from repro.protocols.blockack import safe_timeout_period  # cycle guard
+
+    reverse_bound = reverse.effective_max_lifetime
+    if (
+        hasattr(sender, "reverse_lifetime")
+        and sender.reverse_lifetime is None
+        and reverse_bound is not None
+    ):
+        sender.reverse_lifetime = reverse_bound + 0.05
+    if getattr(sender, "timeout_period", None) is not None:
+        return
+
+    forward_bound = forward.effective_max_lifetime
+    if forward_bound is None or reverse_bound is None:
+        raise ValueError(
+            "cannot derive a safe timeout: a channel has unbounded message "
+            "lifetime; set LinkSpec.max_lifetime (the paper's aging "
+            "mechanism) or pass an explicit timeout_period"
+        )
+    ack_latency = 0.0
+    policy = getattr(receiver, "ack_policy", None)
+    if policy is not None:
+        ack_latency = policy.max_latency
+    sender.timeout_period = safe_timeout_period(
+        forward_bound, reverse_bound, ack_latency, margin=0.05
     )
-    return SessionResult(
-        completed=result.completed,
-        duration=result.duration,
-        delivered=result.delivered,
-        submitted=result.submitted,
-        in_order=result.in_order,
-        flows=[flow],
-        fairness=1.0,
-        forward_stats=result.forward_stats,
-        reverse_stats=result.reverse_stats,
-        trace=result.trace,
-        obs=result.obs,
-        obs_path=result.obs_path,
-        causal=result.causal,
-        flight_path=result.flight_path,
-        transfer=result,
-    )
+
+
+def _drop_observer(recorder, actor: str) -> Callable[[str, Any], None]:
+    """Channel loss/aging as DROP trace records.
+
+    The refinement replay (:mod:`repro.verify.refinement`) needs them to
+    account for every message that left the sender.
+    """
+
+    def observe(kind: str, message: Any) -> None:
+        if kind not in ("lose", "age"):
+            return
+        if isinstance(message, DataMessage):
+            recorder.record(actor, EventKind.DROP, seq=message.seq)
+        elif isinstance(message, BlockAck):
+            recorder.record(
+                actor, EventKind.DROP, seq=message.lo, seq_hi=message.hi
+            )
+
+    return observe
 
 
 class _FlowHarness:
     """Per-flow wiring state the host keeps while a session runs."""
 
     __slots__ = (
-        "index",
-        "spec",
-        "forward_port",
-        "reverse_port",
-        "delivered_payloads",
-        "submit_times",
-        "latencies",
-        "tracker",
-        "monitor",
-        "original_submit",
+        "index", "spec", "forward_port", "reverse_port", "delivered_payloads",
+        "latencies", "tracker", "monitor", "original_submit",
         "submit_was_instance_attr",
     )
 
     def __init__(self, index: int, spec: FlowSpec) -> None:
         self.index = index
         self.spec = spec
-        self.forward_port = None
-        self.reverse_port = None
+        self.forward_port: Any = None
+        self.reverse_port: Any = None
         self.delivered_payloads: List[Any] = []
-        self.submit_times: Dict[int, float] = {}
         self.latencies: List[float] = []
-        self.tracker = None  # per-flow SpanTracker when obs is on
+        self.tracker = None  # SpanTracker when obs is on
         self.monitor = None
         self.original_submit: Optional[Callable] = None
         self.submit_was_instance_attr = False
@@ -355,13 +362,16 @@ class _FlowHarness:
 
 
 class SessionHost:
-    """Build, run, and measure one multi-flow session.
+    """Build, run, and measure one session of one or more flows.
 
-    Parameters mirror :func:`~repro.sim.runner.run_transfer` where they
-    make sense for a shared link; ``fault_plan`` is not supported here
-    because its crash/restart scripting names a single endpoint pair —
-    scripted link faults on multi-flow sessions are an open item
-    (ROADMAP).
+    ``fault_plan`` (a :class:`~repro.robustness.faults.FaultPlan`)
+    installs scripted frame corruption, brownout loss ramps, endpoint
+    crash/restart and state corruption on top of the links.  It needs
+    the un-muxed one-flow session, so a plan on N >= 2 flows or behind
+    an active arbiter raises :class:`ValueError`; scripted faults on
+    shared links are an open item (ROADMAP).  ``record_channel_drops``
+    (with ``trace``) records every channel loss/aging as a DROP trace
+    record, the input the refinement replay needs.
     """
 
     def __init__(
@@ -376,6 +386,8 @@ class SessionHost:
         trace: bool = False,
         trace_capacity: Optional[int] = None,
         monitor_invariants: bool = False,
+        record_channel_drops: bool = False,
+        fault_plan: Optional[Any] = None,
         obs: Any = False,
         obs_run_id: Optional[str] = None,
         obs_labels: Optional[dict] = None,
@@ -397,30 +409,36 @@ class SessionHost:
         self.trace = trace
         self.trace_capacity = trace_capacity
         self.monitor_invariants = monitor_invariants
+        self.record_channel_drops = record_channel_drops
+        self.fault_plan = fault_plan
         self.obs = obs
         self.obs_run_id = obs_run_id
         self.obs_labels = obs_labels
         self.obs_sample_invariants_every = obs_sample_invariants_every
         self.causal = causal
-        self.arbiter = (
-            arbiter if arbiter is not None and arbiter.active else None
-        )
+        self.arbiter = arbiter if arbiter is not None and arbiter.active else None
+        # the mux is needed to share the link, and to put even one flow
+        # behind a capacity-limited arbiter
+        self.muxed = len(self.flows) > 1 or self.arbiter is not None
+        if fault_plan is not None and self.muxed:
+            raise ValueError(
+                "fault plans script a single endpoint pair; multi-flow "
+                "sessions do not support them yet (see ROADMAP open items)"
+            )
+        self._link_arbiter = None
 
     # ------------------------------------------------------------------
 
     def run(self) -> SessionResult:
         sim = Simulator()
         streams = RandomStreams(self.seed)
+        run_id = self.obs_run_id or "session"
 
         causal_rec = None
         if self.causal:
             from repro.obs.causal import CausalRecorder  # cycle guard
 
-            causal_rec = CausalRecorder(
-                sim,
-                run_id=self.obs_run_id or "session",
-                labels=self.obs_labels,
-            )
+            causal_rec = CausalRecorder(sim, run_id=run_id, labels=self.obs_labels)
             sim.timer_observer = causal_rec.timer_observer()
 
         obs_session = None
@@ -431,31 +449,30 @@ class SessionHost:
                 obs_session = self.obs
             else:
                 obs_session = Observability(
-                    run_id=self.obs_run_id or "session",
+                    run_id=run_id,
                     labels=self.obs_labels,
                     sample_invariants_every=self.obs_sample_invariants_every,
                 )
             obs_session.attach_sim(sim)
 
-        forward_channel = self.forward_spec.build(
-            sim, streams.get("channel.forward"), "SR"
-        )
-        reverse_channel = self.reverse_spec.build(
-            sim, streams.get("channel.reverse"), "RS"
-        )
-        # only the data direction is arbitrated: acks are the paper's
-        # cheap control frames, so the reverse link keeps pure
-        # loss/delay (see repro.channel.arbiter module docs)
-        forward_mux = FlowMux(forward_channel, arbiter=self.arbiter)
-        reverse_mux = FlowMux(reverse_channel)
-        self._link_arbiter = forward_mux.arbiter
+        forward_channel = self.forward_spec.build(sim, streams.get("channel.forward"), "SR")
+        reverse_channel = self.reverse_spec.build(sim, streams.get("channel.reverse"), "RS")
+        forward: Any = forward_channel
+        reverse: Any = reverse_channel
+        if self.muxed:
+            # only the data direction is arbitrated: acks are the paper's
+            # cheap control frames, so the reverse link keeps pure
+            # loss/delay (see repro.channel.arbiter module docs)
+            forward = FlowMux(forward_channel, arbiter=self.arbiter)
+            reverse = FlowMux(reverse_channel)
+            self._link_arbiter = forward.arbiter
         if obs_session is not None:
             obs_session.attach_channel(forward_channel, forward_channel.name)
             obs_session.attach_channel(reverse_channel, reverse_channel.name)
         if causal_rec is not None:
-            # observe the *shared* channels, where the FlowEnvelope is
-            # still intact — the causal observer unwraps it, so transit
-            # nodes carry the flow id of the message they touched
+            # observe the built channels: on a shared link the
+            # FlowEnvelope is still intact there, and the causal observer
+            # unwraps it, so transit nodes carry the flow id they touched
             forward_channel.add_observer(
                 causal_rec.channel_observer(forward_channel.name)
             )
@@ -468,13 +485,33 @@ class SessionHost:
             if self.trace
             else NullRecorder()
         )
+        if obs_session is not None and self.muxed:
+            # every flow records through its own tee over this recorder;
+            # the export reads the events from here
+            obs_session.recorder = recorder
 
         for flow in self.flows:
-            self._wire_flow(flow, sim, forward_mux, reverse_mux, recorder,
+            self._wire_flow(flow, sim, forward, reverse, recorder,
                             obs_session, causal_rec)
 
-        def unfinished() -> bool:
-            return not all(flow.finished for flow in self.flows)
+        if len(self.flows) == 1:
+            # the drain predicate runs once per engine event: one flow
+            # reads its own locals rather than going through the harness
+            (flow,) = self.flows
+            source, sender = flow.spec.source, flow.spec.sender
+            delivered = flow.delivered_payloads
+
+            def unfinished() -> bool:
+                return not (
+                    source.exhausted
+                    and sender.all_acknowledged
+                    and len(delivered) >= source.total
+                )
+
+        else:
+
+            def unfinished() -> bool:
+                return not all(flow.finished for flow in self.flows)
 
         try:
             for flow in self.flows:
@@ -485,6 +522,12 @@ class SessionHost:
         finally:
             for flow in self.flows:
                 self._restore_submit(flow)
+            if self.fault_plan is not None:
+                # put the channels' own loss models back: a plan-wrapped
+                # brownout left installed (e.g. one scheduled around a
+                # crash/restart) would survive a later Channel.reset and
+                # replay a different rng stream on a reused channel
+                self.fault_plan.uninstall()
 
         return self._collect(
             sim, forward_channel, reverse_channel, recorder, obs_session,
@@ -496,22 +539,30 @@ class SessionHost:
     # ------------------------------------------------------------------
 
     def _wire_flow(
-        self, flow, sim, forward_mux, reverse_mux, recorder, obs_session,
-        causal_rec=None,
+        self, flow, sim, forward, reverse, recorder, obs_session, causal_rec,
     ) -> None:
-        sender, receiver = flow.spec.sender, flow.spec.receiver
-        fid = flow.index
-        flow.forward_port = forward_mux.port(fid, weight=flow.spec.weight)
-        flow.reverse_port = reverse_mux.port(fid)
+        """Wire one endpoint pair to ``forward``/``reverse``.
 
-        # flow-aware identity: distinct trace actors per flow, and the
-        # window-core endpoints carry their flow id for diagnostics
-        sender.actor_name = f"sender.f{fid}"
-        receiver.actor_name = f"receiver.f{fid}"
-        if hasattr(sender, "flow_id"):
-            sender.flow_id = fid
-        if hasattr(receiver, "flow_id"):
-            receiver.flow_id = fid
+        Those are the built channels themselves on the un-muxed one-flow
+        path, and the two :class:`FlowMux` otherwise.
+        """
+        sender, receiver = flow.spec.sender, flow.spec.receiver
+        fid: Optional[int] = None
+        sender_name, receiver_name = "sender", "receiver"
+        if self.muxed:
+            fid = flow.index
+            forward = forward.port(fid, weight=flow.spec.weight)
+            reverse = reverse.port(fid)
+            # flow-aware identity: distinct trace actors per flow, and the
+            # window-core endpoints carry their flow id for diagnostics
+            sender_name, receiver_name = f"sender.f{fid}", f"receiver.f{fid}"
+            sender.actor_name = sender_name
+            receiver.actor_name = receiver_name
+            if hasattr(sender, "flow_id"):
+                sender.flow_id = fid
+            if hasattr(receiver, "flow_id"):
+                receiver.flow_id = fid
+        flow.forward_port, flow.reverse_port = forward, reverse
 
         flow_recorder = recorder
         if causal_rec is not None:
@@ -522,128 +573,166 @@ class SessionHost:
 
             flow_recorder = CausalTee(sim, causal_rec, flow_recorder, flow=fid)
             causal_rec.watch_endpoints(
-                (f"sender.f{fid}", sender), (f"receiver.f{fid}", receiver)
+                (sender_name, sender), (receiver_name, receiver)
             )
-        if obs_session is not None:
+        tracker = None
+        if obs_session is not None and self.muxed:
             # per-flow span tracker on the shared registry: instruments
             # (histograms/counters) merge into session aggregates while
             # each flow keeps its own span table and latency list
             from repro.obs.spans import ObsRecorder, SpanTracker
 
-            flow.tracker = SpanTracker(obs_session.registry, flow=fid)
-            obs_session.add_span_tracker(flow.tracker)
-            flow_recorder = ObsRecorder(sim, flow.tracker, flow_recorder)
-            obs_session.attach_channel(
-                flow.forward_port, flow.forward_port.name
-            )
-            obs_session.attach_channel(
-                flow.reverse_port, flow.reverse_port.name
-            )
+            tracker = SpanTracker(obs_session.registry, flow=fid)
+            obs_session.add_span_tracker(tracker)
+            flow_recorder = ObsRecorder(sim, tracker, flow_recorder)
+            obs_session.attach_channel(forward, forward.name)
+            obs_session.attach_channel(reverse, reverse.name)
+        elif obs_session is not None:
+            # the tee feeds every endpoint trace record into the span
+            # tracker before forwarding; endpoints need no changes
+            tracker = obs_session.span_tracker
+            flow_recorder = obs_session.make_recorder(sim, flow_recorder)
+        flow.tracker = tracker
+        if self.trace and self.record_channel_drops:
+            for port in (forward, reverse):
+                port.add_observer(
+                    _drop_observer(flow_recorder, f"channel:{port.name}")
+                )
 
-        _derive_timeout(sender, receiver, flow.forward_port, flow.reverse_port)
+        _derive_timeout(sender, receiver, forward, reverse)
 
-        if obs_session is not None:
+        # closures over locals: each runs once per delivery/submission
+        delivered = flow.delivered_payloads
+        submit_times: Dict[int, float] = {}
+        if tracker is not None:
 
-            def on_deliver(seq, payload, flow=flow, sim=sim):
-                flow.delivered_payloads.append(payload)
-                flow.tracker.on_deliver(seq, sim.now)
+            def on_deliver(seq: int, payload: Any) -> None:
+                delivered.append(payload)  # kept for the ordering check
+                # idempotent: protocols that emit DELIVER trace records
+                # have already stamped this span through the recorder tee
+                tracker.on_deliver(seq, sim.now)
 
         else:
+            latencies = flow.latencies
 
-            def on_deliver(seq, payload, flow=flow, sim=sim):
-                flow.delivered_payloads.append(payload)
-                submitted_at = flow.submit_times.pop(seq, None)
+            def on_deliver(seq: int, payload: Any) -> None:
+                delivered.append(payload)  # kept for the ordering check
+                submitted_at = submit_times.pop(seq, None)
                 if submitted_at is not None:
-                    flow.latencies.append(sim.now - submitted_at)
+                    latencies.append(sim.now - submitted_at)
 
         if causal_rec is not None:
             plain_deliver = on_deliver
 
-            def on_deliver(
-                seq, payload, flow=flow, sim=sim, fid=fid,
-                causal_rec=causal_rec, plain_deliver=plain_deliver,
-            ):
+            def on_deliver(seq: int, payload: Any) -> None:
                 plain_deliver(seq, payload)
+                # idempotent with the DELIVER trace record (attribution keyed)
                 causal_rec.on_deliver(
-                    seq, sim.now, flow=fid, actor=f"receiver.f{fid}"
+                    seq, sim.now, flow=fid, actor=receiver_name
                 )
 
         receiver.on_deliver = on_deliver
 
-        if self.monitor_invariants:
-            from repro.verify.runtime import InvariantMonitor  # cycle guard
+        self._attach_monitors(flow, forward, reverse, flow_recorder,
+                              obs_session)
 
-            flow.monitor = InvariantMonitor(
-                sender, receiver, flow.forward_port, flow.reverse_port,
-                domain=_wire_domain(sender),
-            )
-        elif (
-            obs_session is not None
-            and obs_session.sample_invariants_every
-        ):
-            from repro.obs.probes import InvariantProbe  # cycle guard
-
-            flow.monitor = InvariantProbe(
-                sender, receiver, flow.forward_port, flow.reverse_port,
-                domain=_wire_domain(sender),
-                sample_every=obs_session.sample_invariants_every,
-                registry=obs_session.registry,
-                recorder=(
-                    flow_recorder if flow_recorder is not recorder else None
-                ),
-            )
-
-        sender.attach(sim, flow.forward_port, flow_recorder)
-        receiver.attach(sim, flow.reverse_port, flow_recorder)
-        if obs_session is not None:
-            controller = getattr(sender, "_retx", None)  # built during attach
-            if controller is not None:
+        sender.attach(sim, forward, flow_recorder)
+        receiver.attach(sim, reverse, flow_recorder)
+        controller = getattr(sender, "_retx", None)  # built during attach
+        if controller is not None:
+            if obs_session is not None:
                 obs_session.attach_controller(controller)
-        if causal_rec is not None:
-            controller = getattr(sender, "_retx", None)
-            if controller is not None:
+            if causal_rec is not None:
                 # chained after any obs instruments bound just above
                 causal_rec.attach_controller(controller, flow=fid)
-        flow.forward_port.connect(receiver.on_message)
-        flow.reverse_port.connect(sender.on_message)
+        forward.connect(receiver.on_message)
+        reverse.connect(sender.on_message)
         if (
             getattr(sender, "timeout_mode", None) == "oracle"
             and hasattr(sender, "enable_oracle")
         ):
-            sender.enable_oracle(
-                flow.forward_port, flow.reverse_port, receiver
-            )
+            sender.enable_oracle(forward, reverse, receiver)
+        if self.fault_plan is not None:
+            if causal_rec is not None:
+                # fault nodes + flush-on-fault-boundary for a streaming dump
+                self.fault_plan.observer = causal_rec.fault_observer()
+            # must come after the connects above: the plan re-connects
+            # each channel through its corruption/outage interceptor
+            self.fault_plan.install(sim, forward, reverse, sender, receiver)
 
-        # timestamp submits for per-flow latency (or per-flow spans)
+        # submit is wrapped (to timestamp each payload for the latency
+        # stats) for the duration of the run only; _restore_submit puts
+        # the original binding back so a sender reused across runs does
+        # not stack wrappers
         flow.submit_was_instance_attr = "submit" in vars(sender)
-        flow.original_submit = sender.submit
+        original_submit = flow.original_submit = sender.submit
 
-        if obs_session is not None:
+        if tracker is not None:
 
-            def timed_submit(payload, flow=flow, sim=sim):
-                seq = flow.original_submit(payload)
-                flow.tracker.on_submit(seq, sim.now)
+            def timed_submit(payload: Any) -> int:
+                seq = original_submit(payload)
+                tracker.on_submit(seq, sim.now)
                 return seq
 
         else:
 
-            def timed_submit(payload, flow=flow, sim=sim):
-                seq = flow.original_submit(payload)
-                flow.submit_times[seq] = sim.now
+            def timed_submit(payload: Any) -> int:
+                seq = original_submit(payload)
+                submit_times[seq] = sim.now
                 return seq
 
         if causal_rec is not None:
             plain_submit = timed_submit
 
-            def timed_submit(
-                payload, sim=sim, fid=fid, causal_rec=causal_rec,
-                plain_submit=plain_submit,
-            ):
+            def timed_submit(payload: Any) -> int:
                 seq = plain_submit(payload)
                 causal_rec.on_submit(seq, sim.now, flow=fid)
                 return seq
 
         sender.submit = timed_submit
+
+    def _attach_monitors(
+        self, flow, forward, reverse, flow_recorder, obs_session
+    ) -> None:
+        sender, receiver = flow.spec.sender, flow.spec.receiver
+        plan = self.fault_plan
+        if plan is not None and getattr(plan, "corruptions", ()):
+            # a corrupting fault plan always gets a StabilizationMonitor
+            # (the convergence watchdog's scorekeeper); it subsumes the
+            # plain invariant monitor, so monitor_invariants shares it
+            from repro.verify.runtime import StabilizationMonitor  # cycle guard
+
+            plan.monitor = StabilizationMonitor(
+                sender, receiver, forward, reverse,
+                domain=_wire_domain(sender),
+            )
+            if self.monitor_invariants:
+                flow.monitor = plan.monitor
+        elif self.monitor_invariants:
+            from repro.verify.runtime import InvariantMonitor  # cycle guard
+
+            flow.monitor = InvariantMonitor(
+                sender, receiver, forward, reverse,
+                domain=_wire_domain(sender),
+            )
+        if obs_session is None or not obs_session.sample_invariants_every:
+            return
+        if not self.muxed:
+            # the session's own probe, next to any monitor
+            obs_session.install_probe(
+                sender, receiver, forward, reverse,
+                domain=_wire_domain(sender),
+            )
+        elif flow.monitor is None:
+            from repro.obs.probes import InvariantProbe  # cycle guard
+
+            flow.monitor = InvariantProbe(
+                sender, receiver, forward, reverse,
+                domain=_wire_domain(sender),
+                sample_every=obs_session.sample_invariants_every,
+                registry=obs_session.registry,
+                recorder=flow_recorder,
+            )
 
     @staticmethod
     def _restore_submit(flow) -> None:
@@ -652,29 +741,17 @@ class SessionHost:
         if flow.submit_was_instance_attr:
             flow.spec.sender.submit = flow.original_submit
         else:
-            try:
-                del flow.spec.sender.submit
-            except AttributeError:
-                pass
+            vars(flow.spec.sender).pop("submit", None)
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _link_stats(channel) -> dict:
-        stats = channel.stats.as_dict()
-        if hasattr(channel, "discarded"):  # framed link corruption counters
-            stats["corrupted"] = channel.corrupted
-            stats["discarded"] = channel.discarded
-            stats["bytes_sent"] = channel.bytes_sent
-        return stats
-
     def _collect(
         self, sim, forward_channel, reverse_channel, recorder, obs_session,
-        causal_rec=None,
+        causal_rec,
     ) -> SessionResult:
-        arbiter = getattr(self, "_link_arbiter", None)
+        arbiter = self._link_arbiter
         flow_results: List[FlowResult] = []
         for flow in self.flows:
             spec = flow.spec
@@ -710,8 +787,8 @@ class SessionHost:
                     duration=sim.now,
                     sender_stats=sender_stats,
                     receiver_stats=spec.receiver.stats.as_dict(),
-                    forward_stats=flow.forward_port.stats.as_dict(),
-                    reverse_stats=flow.reverse_port.stats.as_dict(),
+                    forward_stats=link_stats(flow.forward_port),
+                    reverse_stats=link_stats(flow.reverse_port),
                     latencies=latencies,
                     timeout_period=(
                         getattr(spec.sender, "timeout_period", 0.0) or 0.0
@@ -730,6 +807,7 @@ class SessionHost:
                 )
             )
 
+        plan = self.fault_plan
         result = SessionResult(
             completed=all(flow.completed for flow in flow_results),
             duration=sim.now,
@@ -740,33 +818,46 @@ class SessionHost:
             fairness=jain_fairness(
                 [flow.delivered for flow in flow_results]
             ),
-            forward_stats=self._link_stats(forward_channel),
-            reverse_stats=self._link_stats(reverse_channel),
+            forward_stats=link_stats(forward_channel),
+            reverse_stats=link_stats(reverse_channel),
             arbiter_stats=(
                 arbiter.stats_dict() if arbiter is not None else {}
             ),
             trace=recorder if self.trace else None,
             obs=obs_session,
+            fault_stats=plan.stats.as_dict() if plan is not None else {},
         )
+        if plan is not None and getattr(plan, "corruptions", ()):
+            result.stabilization = plan.monitor.summary(
+                result.completed, result.in_order
+            )
         if causal_rec is not None:
+            if result.stabilization is not None:
+                causal_rec.on_stabilization(result.stabilization["verdict"])
             causal_rec.on_fairness(result.fairness)
             for flow in flow_results:
                 if flow.sender_stats.get("link_dead") and not any(
                     reason == "link_dead"
                     for _, reason, _ in causal_rec.triggers
                 ):
+                    # backstop: a sender can go link-dead without routing
+                    # the verdict through controller instruments
+                    who = f"flow {flow.flow}" if self.muxed else "sender"
                     causal_rec.trigger(
-                        "link_dead", f"flow {flow.flow} reports link_dead"
+                        "link_dead", f"{who} reports link_dead"
                     )
             result.causal = causal_rec
             result.flight_path = causal_rec.close_flight()
             if obs_session is not None:
-                obs_session.causal = causal_rec
+                obs_session.causal = causal_rec  # attributions ride the export
         if obs_session is not None:
-            self._finalize_obs(obs_session, result)
+            if self.muxed:
+                self._flow_gauges(obs_session, result)
+            obs_session.finalize(result)
         return result
 
-    def _finalize_obs(self, obs_session, result: SessionResult) -> None:
+    @staticmethod
+    def _flow_gauges(obs_session, result: SessionResult) -> None:
         """Session aggregates + per-flow gauges into the obs registry."""
         gauge = obs_session.registry.gauge(
             "flow_stat",
@@ -811,7 +902,6 @@ class SessionHost:
                 depth_gauge.labels(**labels).set(stats["max_depth"])
                 drops.labels(**labels).inc(stats["dropped"])
                 grants.labels(**labels).inc(stats["granted"])
-        obs_session.finalize(result)
 
 
 def run_flows(
@@ -832,47 +922,16 @@ def run_flows(
     causal: bool = False,
     arbiter: Optional[ArbiterConfig] = None,
 ) -> SessionResult:
-    """Run N flows over one shared link pair and measure the session.
+    """Run N flows over one link pair and measure the session.
 
-    ``flows`` with exactly one entry delegates to
-    :func:`~repro.sim.runner.run_transfer` — no mux, identical wiring,
-    byte-identical results and decision trace (the returned session's
-    ``transfer`` field carries the underlying
-    :class:`~repro.sim.runner.TransferResult`).  With N >= 2 the flows
-    share one forward and one reverse channel through a
-    :class:`~repro.channel.mux.FlowMux` per direction.
-
-    An *active* ``arbiter`` (finite rate) disables the N=1 delegation:
-    a capacity-limited run needs the mux/arbiter wiring even for one
-    flow, so it always goes through :class:`SessionHost`.
+    One flow without an active ``arbiter`` runs un-muxed over dedicated
+    channels, exactly like :func:`~repro.sim.runner.run_transfer`.  With
+    N >= 2 flows — or behind an active (finite-rate) ``arbiter``, which
+    needs the mux even for one flow — the flows share one forward and
+    one reverse channel through a :class:`~repro.channel.mux.FlowMux`
+    per direction.
     """
-    flows = list(flows)
-    if not flows:
-        raise ValueError("run_flows needs at least one FlowSpec")
-    arbitrated = arbiter is not None and arbiter.active
-    if len(flows) == 1 and not arbitrated:
-        spec = flows[0]
-        result = run_transfer(
-            spec.sender,
-            spec.receiver,
-            spec.source,
-            forward=forward,
-            reverse=reverse,
-            seed=seed,
-            max_time=max_time,
-            max_events=max_events,
-            collect_payloads=collect_payloads,
-            trace=trace,
-            trace_capacity=trace_capacity,
-            monitor_invariants=monitor_invariants,
-            obs=obs,
-            obs_run_id=obs_run_id,
-            obs_labels=obs_labels,
-            obs_sample_invariants_every=obs_sample_invariants_every,
-            causal=causal,
-        )
-        return _session_from_transfer(spec, result)
-    host = SessionHost(
+    return SessionHost(
         flows,
         forward=forward,
         reverse=reverse,
@@ -888,79 +947,73 @@ def run_flows(
         obs_labels=obs_labels,
         obs_sample_invariants_every=obs_sample_invariants_every,
         causal=causal,
-        arbiter=arbiter if arbitrated else None,
-    )
-    return host.run()
+        arbiter=arbiter,
+    ).run()
 
 
 def session_to_transfer(session: SessionResult) -> TransferResult:
     """Flatten a session into the sweep runner's TransferResult shape.
 
-    The N=1 path already carries its exact ``TransferResult``.  For
+    One flow's stats, monitor and payloads are copied verbatim.  For
     N >= 2 the top-level sender/receiver stats are numeric sums across
-    flows (aggregate retransmissions, acks, deliveries), the link stats
-    are the shared channels' aggregates, and the per-flow rows plus the
-    fairness index ride the ``per_flow`` / ``fairness`` fields.
+    flows (aggregate retransmissions, acks, deliveries) and the monitor
+    is a summary of every flow's violations.  The link stats are the
+    built channels' totals, and the per-flow rows plus the fairness
+    index ride the ``per_flow`` / ``fairness`` fields.
     """
-    if session.transfer is not None:
-        transfer = session.transfer
-        transfer.per_flow = [flow.as_dict() for flow in session.flows]
-        transfer.fairness = session.fairness
-        return transfer
+    flows = session.flows
+    if len(flows) == 1:
+        # a sum would drop the nested ``adaptive`` dict and bool ``link_dead``
+        sender_stats = flows[0].sender_stats
+        receiver_stats = flows[0].receiver_stats
+        monitor = flows[0].monitor
+        payloads = flows[0].delivered_payloads
+    else:
+        sender_stats = _summed([flow.sender_stats for flow in flows])
+        receiver_stats = _summed([flow.receiver_stats for flow in flows])
+        monitor = None
+        if any(flow.monitor is not None for flow in flows):
+            from repro.perf.sweep import MonitorSummary  # cycle guard
 
-    def summed(dicts: List[dict]) -> dict:
-        out: Dict[str, Any] = {}
-        for stats in dicts:
-            for key, value in stats.items():
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    out[key] = out.get(key, 0) + value
-        return out
-
-    latencies: List[float] = []
-    for flow in session.flows:
-        latencies.extend(flow.latencies)
-    violations: List[str] = []
-    monitored = False
-    for flow in session.flows:
-        if flow.monitor is not None:
-            monitored = True
-            violations.extend(
+            monitor = MonitorSummary([
                 f"flow {flow.flow}: {violation}"
+                for flow in flows
+                if flow.monitor is not None
                 for violation in flow.monitor.violations
-            )
-    monitor = None
-    if monitored:
-        from repro.perf.sweep import MonitorSummary  # cycle guard
-
-        monitor = MonitorSummary(violations)
+            ])
+        payloads = []
     return TransferResult(
         completed=session.completed,
         duration=session.duration,
         delivered=session.delivered,
         submitted=session.submitted,
         in_order=session.in_order,
-        ordered_prefix=all(
-            flow.ordered_prefix for flow in session.flows
-        ),
-        sender_stats=summed([flow.sender_stats for flow in session.flows]),
-        receiver_stats=summed(
-            [flow.receiver_stats for flow in session.flows]
-        ),
+        ordered_prefix=all(flow.ordered_prefix for flow in flows),
+        sender_stats=sender_stats,
+        receiver_stats=receiver_stats,
         forward_stats=session.forward_stats,
         reverse_stats=session.reverse_stats,
+        delivered_payloads=payloads,
         trace=session.trace,
-        timeout_period=max(
-            flow.timeout_period for flow in session.flows
-        ),
+        timeout_period=max(flow.timeout_period for flow in flows),
         monitor=monitor,
-        latencies=latencies,
+        latencies=[value for flow in flows for value in flow.latencies],
+        fault_stats=session.fault_stats,
         obs=session.obs,
         obs_path=session.obs_path,
+        per_flow=[flow.as_dict() for flow in flows],
+        fairness=session.fairness,
+        stabilization=session.stabilization,
         causal=session.causal,
         flight_path=session.flight_path,
-        per_flow=[flow.as_dict() for flow in session.flows],
-        fairness=session.fairness,
         arbiter_stats=session.arbiter_stats,
     )
+
+
+def _summed(dicts: List[dict]) -> dict:
+    out: Dict[str, Any] = {}
+    for stats in dicts:
+        for key, value in stats.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                out[key] = out.get(key, 0) + value
+    return out

@@ -30,9 +30,9 @@ class InstrumentedSimulator(Simulator):
 #: and now selects the instrumented heap engine.
 ENGINE_VARIANTS = {"default": Simulator, "fast": InstrumentedSimulator}
 
-#: Modules that construct the simulator for a run (``run_transfer``,
-#: ``run_flows`` and the ``repro.perf.bench`` workloads).
-_SIMULATOR_SITES = ("repro.sim.engine", "repro.sim.runner", "repro.sim.host")
+#: Modules that construct the simulator for a run (``SessionHost``, behind
+#: ``run_transfer`` and ``run_flows``, and the ``repro.perf.bench`` workloads).
+_SIMULATOR_SITES = ("repro.sim.engine", "repro.sim.host")
 
 
 @pytest.fixture(params=list(ENGINE_VARIANTS))
