@@ -242,3 +242,52 @@ class TestAggressiveModeIsWasteful:
         assert (
             aggressive.sender_stats["data_sent"] >= safe.sender_stats["data_sent"]
         )
+
+
+class TestOracleTracePins:
+    """Literal decision-trace digests of oracle-mode runs.
+
+    The oracle guard reads both channels' in-flight sets on every poll;
+    no golden recording covers it, so these digests pin its decisions.
+    """
+
+    CASES = {
+        "lossy-unit-w8": (
+            dict(window=8),
+            lambda: LinkSpec(delay=ConstantDelay(1.0), loss=BernoulliLoss(0.1)),
+            3,
+            1881,
+            "6706a2cbf15e3e924ee18dbad9c06dfe787d7be1055d7fd64e6290982814b7cf",
+        ),
+        "long-delay-w32-bounded": (
+            dict(window=32, bounded_wire=True),
+            lambda: LinkSpec(
+                delay=UniformDelay(4.0, 8.0), loss=BernoulliLoss(0.05)
+            ),
+            4,
+            1123,
+            "6b839fc1b63d2fbc459618a854cb3a6fd4c04066e37bf5ae1fedfbbe60120f8d",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_oracle_decision_trace_digest(self, name):
+        import hashlib
+        import json
+
+        from repro.protocols.registry import make_pair
+
+        pair_kwargs, link, seed, length, digest = self.CASES[name]
+        sender, receiver = make_pair("blockack-oracle", **pair_kwargs)
+        result = run_transfer(
+            sender, receiver, GreedySource(300),
+            forward=link(), reverse=link(), seed=seed,
+            trace=True, max_time=100_000.0,
+        )
+        assert result.completed and result.in_order
+        rows = [
+            [time, actor, kind.value, seq, seq_hi]
+            for time, actor, kind, seq, seq_hi in result.trace.decision_trace()
+        ]
+        assert len(rows) == length
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest

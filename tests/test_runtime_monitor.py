@@ -130,3 +130,53 @@ class TestViolationDetection:
         forward.send(DataMessage(0))
         with pytest.raises(AssertionError):
             forward.send(DataMessage(0))  # second copy of the same number
+
+
+class TestViolationPins:
+    """Literal digests of whole violation lists on adversarial runs.
+
+    A bounded wire with a timeout far below the safe period breaks
+    assertion 8 in every timer mode; the digest pins each violation's
+    time, clause and detail, in order.
+    """
+
+    DIGESTS = {
+        "aggressive": (
+            9910,
+            "56579212c457423aa40194aa45ef4c3c596ff7360e968c2d2ab56c584f5ec1b9",
+        ),
+        "simple": (
+            293,
+            "a03cb437fb683a13a10944d751bf640e06c93a2d335afd6666502fb41f117e09",
+        ),
+        "per_message_safe": (
+            295,
+            "0877f36ae7bfdcfb99240d3c0e9bb78908daf52806ef674b2019e0ea813ca12b",
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(DIGESTS))
+    def test_violation_list_digest(self, mode):
+        import hashlib
+
+        from repro.protocols.registry import make_pair
+
+        def link():
+            return LinkSpec(
+                delay=UniformDelay(0.2, 1.8), loss=BernoulliLoss(0.1),
+                max_lifetime=3.0,
+            )
+
+        sender, receiver = make_pair(
+            "blockack", window=8, bounded_wire=True, timeout_mode=mode,
+            timeout_period=1.2,
+        )
+        result = run_transfer(
+            sender, receiver, GreedySource(400),
+            forward=link(), reverse=link(),
+            seed=3, monitor_invariants=True, max_time=5_000.0,
+        )
+        lines = [str(v) for v in result.monitor.violations]
+        count, digest = self.DIGESTS[mode]
+        assert len(lines) == count
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
