@@ -15,7 +15,7 @@ provides exactly that:
 * each port exposes the full harness channel surface
   (:class:`~repro.channel.surface.ChannelSurface`) — per-flow stats,
   observers that see *unwrapped* protocol messages (so invariant
-  monitors and probes work per flow unchanged), in-flight iteration
+  monitors work per flow unchanged), in-flight iteration
   filtered to the flow — while the shared link keeps the aggregate view.
 
 The shared link may be a raw :class:`~repro.channel.channel.Channel`
@@ -132,7 +132,7 @@ class FlowPort:
     """One flow's channel-shaped view of the shared link.
 
     Implements the complete :class:`~repro.channel.surface.ChannelSurface`
-    so endpoints, monitors, probes, and obs sessions attach to a port
+    so endpoints, monitors, and obs sessions attach to a port
     exactly as they would to a dedicated channel.  ``stats`` counts this
     flow's envelopes only; ``reordered`` uses the per-flow envelope
     counter, so link-level reordering between *different* flows (harmless

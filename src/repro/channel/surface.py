@@ -30,7 +30,7 @@ __all__ = ["ChannelSurface", "CHANNEL_SURFACE_METHODS", "CHANNEL_SURFACE_ATTRS",
 CHANNEL_SURFACE_METHODS = (
     "connect",  # wire the delivery callback
     "send",  # inject a message
-    "add_observer",  # channel-event taps (monitor, probe, obs, drops)
+    "add_observer",  # channel-event taps (monitor, obs, causal, drops)
     "in_flight",  # iterate undelivered copies (oracle mode, monitors)
     "count_matching",  # count undelivered copies by predicate
 )

@@ -27,8 +27,9 @@ Subcommands
 
 ``blockack obs export|summarize|diff``
     Telemetry (:mod:`repro.obs`): ``export`` runs one observed transfer
-    and writes ``results/obs/<run_id>.jsonl`` (per-seq lifecycle spans,
-    metric snapshot, optional live invariant probe); ``summarize``
+    under the invariant monitor and writes ``results/obs/<run_id>.jsonl``
+    (per-seq lifecycle spans, metric snapshot, any invariant
+    violations); ``summarize``
     renders one export; ``diff`` compares the metric snapshots of two
     exports (e.g. two seeds, or the same cell before/after a change).
 
@@ -148,11 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="delay spread around mean 1 (reordering intensity)",
     )
     obs_exp.add_argument("--seed", type=int, default=11)
-    obs_exp.add_argument(
-        "--probe-every", type=int, default=0, metavar="N",
-        help="sample the live invariant probe every N channel events "
-        "(0 = probe off)",
-    )
     obs_exp.add_argument(
         "--output", default=None, metavar="PATH",
         help="output .jsonl path (default: results/obs/<run_id>.jsonl)",
@@ -592,6 +588,7 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
         reverse=link(),
         seed=args.seed,
         max_time=1_000_000.0,
+        monitor_invariants=True,
         obs=True,
         obs_run_id=run_id,
         obs_labels={
@@ -602,17 +599,10 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
             "jitter": str(args.jitter),
             "seed": str(args.seed),
         },
-        obs_sample_invariants_every=args.probe_every,
     )
     path = result.obs.export(path=args.output)
     print(result.summary())
-    if result.obs.probe is not None:
-        probe = result.obs.probe
-        print(
-            f"invariant probe: {probe.checks_run} sweeps over "
-            f"{probe.events_seen} events, "
-            f"{len(probe.violations)} violation(s)"
-        )
+    print(result.monitor.report())
     print(f"wrote {path}")
     return 0 if result.completed and result.in_order else 1
 

@@ -1,8 +1,8 @@
-"""Unified telemetry layer: metrics, spans, structured export, probes.
+"""Unified telemetry layer: metrics, spans, structured export.
 
 ``repro.obs`` is the single observability backbone for the simulator,
 the protocol endpoints, the channels, the robustness controller, and the
-UDP transport.  It has four cooperating pieces:
+UDP transport.  It has three cooperating pieces:
 
 * :mod:`repro.obs.metrics` — a metrics registry
   (:class:`~repro.obs.metrics.Counter` /
@@ -25,10 +25,13 @@ UDP transport.  It has four cooperating pieces:
   schema of :mod:`repro.obs.schema`, plus snapshot diffing for the
   ``blockack obs diff`` subcommand.  Prometheus text rendering lives in
   :class:`~repro.obs.metrics.TextExposition`.
-* :mod:`repro.obs.probes` — live invariant probes: the runtime monitors
-  of :mod:`repro.verify.runtime` adapted into cheap sampling checks
-  (invariant 6 ∧ 7 ∧ 8 every N channel events) that record violations as
-  metrics and trace NOTEs instead of raising.
+
+Invariant checking is not a telemetry piece of its own: the exact
+:class:`~repro.verify.runtime.InvariantMonitor` that
+``monitor_invariants=True`` attaches reports every violation of
+invariant 6 ∧ 7 ∧ 8 into the run's registry
+(``invariant_violations_total{clause}``) and trace (a ``NOTE`` from
+actor ``monitor``) when obs is on.
 
 :class:`~repro.obs.session.Observability` bundles all of it per run;
 ``run_transfer(..., obs=True)`` and ``blockack run e3 --obs`` are the two
@@ -45,7 +48,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     TextExposition,
 )
-from repro.obs.probes import InvariantProbe
 from repro.obs.session import Observability
 from repro.obs.sink import JsonlSink, diff_snapshots, load_run, summarize_run
 from repro.obs.spans import ObsRecorder, SeqSpan, SpanTracker
@@ -66,6 +68,5 @@ __all__ = [
     "load_run",
     "summarize_run",
     "diff_snapshots",
-    "InvariantProbe",
     "Observability",
 ]

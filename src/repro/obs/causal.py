@@ -4,7 +4,7 @@ Counters say *that* a run went wrong; this module records *why*.  A
 :class:`CausalRecorder` turns every protocol-relevant event — submit,
 send/resend, channel transit outcomes (deliver/lose/age/duplicate),
 acks, timer arm/fire/cancel, RTO verdicts, state-corruption injection,
-guard/repair firings, endpoint crash/restart, invariant-probe findings —
+guard/repair firings, endpoint crash/restart, invariant-monitor findings —
 into a node of a per-seq causal graph with parent edges (timer-fire →
 retransmit → delivery).  Nodes come from the existing instrument seams
 only (the trace-recorder tee, channel observers, the controller
@@ -17,10 +17,11 @@ Three products sit on the graph:
 * **flight recorder** — an always-on bounded ring
   (:data:`FLIGHT_RING_CAPACITY` nodes).  When an anomaly trigger fires
   (link-dead verdict, stabilization ``degraded``/``diverged`` grade, RTO
-  backoff ladder >= :data:`BACKOFF_TRIGGER_ATTEMPTS`, invariant-probe
-  violation, Jain fairness below :data:`FAIRNESS_TRIGGER_THRESHOLD`) the
-  ring is frozen, endpoint-state snapshots are taken, and a dump streams
-  to ``results/obs/flight/<run_id>.jsonl`` under ``repro.obs/v2`` — the
+  backoff ladder >= :data:`BACKOFF_TRIGGER_ATTEMPTS`, a violation NOTE
+  from the invariant monitor, Jain fairness below
+  :data:`FAIRNESS_TRIGGER_THRESHOLD`) the ring is frozen, endpoint-state
+  snapshots are taken, and a dump streams to
+  ``results/obs/flight/<run_id>.jsonl`` under ``repro.obs/v2`` — the
   file keeps growing with post-trigger events and is flushed at every
   fault boundary, so even a run killed mid-flight leaves a parseable
   record.  Clean runs write nothing.
@@ -312,7 +313,7 @@ class CausalRecorder:
         if self._sink is not None:
             self._stream_node(node)
         if seq is None:
-            if kind is EventKind.NOTE and actor == "probe":
+            if kind is EventKind.NOTE and actor == "monitor":
                 self.trigger("invariant_violation", detail)
             return
         if kind is EventKind.SEND_DATA:
@@ -360,8 +361,6 @@ class CausalRecorder:
             elif state.delivered is not None:
                 return
             state.pending_timeout = now
-        elif kind is EventKind.NOTE and actor == "probe":
-            self.trigger("invariant_violation", detail)
 
     def channel_observer(self, link: str):
         """An ``add_observer`` callback recording transit outcomes."""

@@ -18,9 +18,12 @@ itself to every instrumentable layer:
   retransmitting protocols already emit;
 * the **robustness controller** — :class:`ControllerInstruments` folds
   every RTT sample and the resulting RTO into histograms and tracks the
-  backoff ladder position;
-* the **invariant probe** — optional sampled checking of assertions
-  6 ∧ 7 ∧ 8 (see :mod:`repro.obs.probes`).
+  backoff ladder position.
+
+With ``monitor_invariants`` on as well, the host hands each flow's
+:class:`~repro.verify.runtime.InvariantMonitor` this session's registry
+and recorder, so every violation of assertions 6 ∧ 7 ∧ 8 is counted and
+traced.
 
 :class:`~repro.sim.host.SessionHost` (behind ``run_transfer(...,
 obs=True)`` and ``run_flows``) builds one of these per run; parallel
@@ -150,10 +153,6 @@ class Observability:
     labels:
         Free-form key/value context written to the meta record
         (protocol, seed, experiment cell, ...).
-    sample_invariants_every:
-        0 disables the invariant probe; N >= 1 installs
-        :class:`~repro.obs.probes.InvariantProbe` with that sampling
-        period.
     """
 
     def __init__(
@@ -161,19 +160,11 @@ class Observability:
         registry: Optional[MetricsRegistry] = None,
         run_id: str = "run",
         labels: Optional[Dict[str, str]] = None,
-        sample_invariants_every: int = 0,
     ) -> None:
-        if sample_invariants_every < 0:
-            raise ValueError(
-                f"sample_invariants_every must be >= 0, "
-                f"got {sample_invariants_every}"
-            )
         self.registry = registry if registry is not None else MetricsRegistry()
         self.run_id = run_id
         self.labels: Dict[str, str] = dict(labels or {})
-        self.sample_invariants_every = sample_invariants_every
         self.span_tracker = SpanTracker(self.registry)
-        self.probe = None  # set by install_probe
         # the recorder export() reads events from: this session's tee
         # (make_recorder), or a session host's shared trace recorder
         self.recorder: Optional[Any] = None
@@ -227,25 +218,6 @@ class Observability:
     def attach_controller(self, controller) -> None:
         """Bind RTO/backoff telemetry to a RetransmissionController."""
         controller.bind_instruments(ControllerInstruments(self.registry))
-
-    def install_probe(
-        self, sender, receiver, forward, reverse, domain: Optional[int] = None
-    ) -> None:
-        """Attach the sampled invariant probe (if configured on)."""
-        if not self.sample_invariants_every:
-            return
-        from repro.obs.probes import InvariantProbe  # cycle guard
-
-        self.probe = InvariantProbe(
-            sender,
-            receiver,
-            forward,
-            reverse,
-            domain=domain,
-            sample_every=self.sample_invariants_every,
-            registry=self.registry,
-            recorder=self.recorder,
-        )
 
     # ------------------------------------------------------------------
     # finalize + export

@@ -24,8 +24,7 @@ fairness index (:class:`SessionResult`).
   delay, aging and framing act on the *shared* link.  Each flow gets
   its own trace actor names (``sender.f<id>``), span tracker, latency
   bookkeeping and — when requested — its own
-  :class:`~repro.verify.runtime.InvariantMonitor` or sampled
-  :class:`~repro.obs.probes.InvariantProbe`, because the paper's
+  :class:`~repro.verify.runtime.InvariantMonitor`, because the paper's
   invariant 6 ∧ 7 ∧ 8 is a *per-flow* statement (Ghaderi & Towsley;
   Jain — see PAPERS.md).
 
@@ -98,7 +97,7 @@ class FlowResult:
     reverse_stats: dict = field(default_factory=dict)
     latencies: List[float] = field(default_factory=list)
     timeout_period: float = 0.0
-    monitor: Any = None  # per-flow InvariantMonitor / InvariantProbe
+    monitor: Any = None  # per-flow InvariantMonitor
     delivered_payloads: List[Any] = field(default_factory=list)
     queue_stats: dict = field(default_factory=dict)  # arbiter counters
 
@@ -372,6 +371,12 @@ class SessionHost:
     shared links are an open item (ROADMAP).  ``record_channel_drops``
     (with ``trace``) records every channel loss/aging as a DROP trace
     record, the input the refinement replay needs.
+
+    ``monitor_invariants`` gives every flow its own
+    :class:`~repro.verify.runtime.InvariantMonitor`.  With ``obs`` on,
+    each monitor also counts its violations in the session registry and
+    records them as trace NOTEs through its flow's recorder, which the
+    causal layer turns into an ``invariant_violation`` trigger.
     """
 
     def __init__(
@@ -391,7 +396,6 @@ class SessionHost:
         obs: Any = False,
         obs_run_id: Optional[str] = None,
         obs_labels: Optional[dict] = None,
-        obs_sample_invariants_every: int = 0,
         causal: bool = False,
         arbiter: Optional[ArbiterConfig] = None,
     ) -> None:
@@ -414,7 +418,6 @@ class SessionHost:
         self.obs = obs
         self.obs_run_id = obs_run_id
         self.obs_labels = obs_labels
-        self.obs_sample_invariants_every = obs_sample_invariants_every
         self.causal = causal
         self.arbiter = arbiter if arbiter is not None and arbiter.active else None
         # the mux is needed to share the link, and to put even one flow
@@ -448,11 +451,7 @@ class SessionHost:
             if isinstance(self.obs, Observability):
                 obs_session = self.obs
             else:
-                obs_session = Observability(
-                    run_id=run_id,
-                    labels=self.obs_labels,
-                    sample_invariants_every=self.obs_sample_invariants_every,
-                )
+                obs_session = Observability(run_id=run_id, labels=self.obs_labels)
             obs_session.attach_sim(sim)
 
         forward_channel = self.forward_spec.build(sim, streams.get("channel.forward"), "SR")
@@ -566,7 +565,7 @@ class SessionHost:
 
         flow_recorder = recorder
         if causal_rec is not None:
-            # the causal tee sits beneath the obs tee so probe NOTE
+            # the causal tee sits beneath the obs tee so monitor NOTE
             # records (recorded through the obs recorder) reach the
             # causal layer; every record is stamped with this flow id
             from repro.obs.causal import CausalTee  # cycle guard
@@ -699,7 +698,9 @@ class SessionHost:
         if plan is not None and getattr(plan, "corruptions", ()):
             # a corrupting fault plan always gets a StabilizationMonitor
             # (the convergence watchdog's scorekeeper); it subsumes the
-            # plain invariant monitor, so monitor_invariants shares it
+            # plain invariant monitor, so monitor_invariants shares it.
+            # Its violations are expected while repairs run, so they
+            # report no telemetry and raise no flight-recorder trigger
             from repro.verify.runtime import StabilizationMonitor  # cycle guard
 
             plan.monitor = StabilizationMonitor(
@@ -714,24 +715,8 @@ class SessionHost:
             flow.monitor = InvariantMonitor(
                 sender, receiver, forward, reverse,
                 domain=_wire_domain(sender),
-            )
-        if obs_session is None or not obs_session.sample_invariants_every:
-            return
-        if not self.muxed:
-            # the session's own probe, next to any monitor
-            obs_session.install_probe(
-                sender, receiver, forward, reverse,
-                domain=_wire_domain(sender),
-            )
-        elif flow.monitor is None:
-            from repro.obs.probes import InvariantProbe  # cycle guard
-
-            flow.monitor = InvariantProbe(
-                sender, receiver, forward, reverse,
-                domain=_wire_domain(sender),
-                sample_every=obs_session.sample_invariants_every,
-                registry=obs_session.registry,
-                recorder=flow_recorder,
+                registry=None if obs_session is None else obs_session.registry,
+                recorder=None if obs_session is None else flow_recorder,
             )
 
     @staticmethod
@@ -918,7 +903,6 @@ def run_flows(
     obs: Any = False,
     obs_run_id: Optional[str] = None,
     obs_labels: Optional[dict] = None,
-    obs_sample_invariants_every: int = 0,
     causal: bool = False,
     arbiter: Optional[ArbiterConfig] = None,
 ) -> SessionResult:
@@ -945,7 +929,6 @@ def run_flows(
         obs=obs,
         obs_run_id=obs_run_id,
         obs_labels=obs_labels,
-        obs_sample_invariants_every=obs_sample_invariants_every,
         causal=causal,
         arbiter=arbiter,
     ).run()

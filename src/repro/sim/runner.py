@@ -157,7 +157,6 @@ def run_transfer(
     obs: Any = False,
     obs_run_id: Optional[str] = None,
     obs_labels: Optional[dict] = None,
-    obs_sample_invariants_every: int = 0,
     causal: bool = False,
 ) -> TransferResult:
     """Run one complete transfer and measure it.
@@ -171,7 +170,9 @@ def run_transfer(
     :class:`~repro.verify.runtime.InvariantMonitor` watches every channel
     event for breaches of the paper's invariant (returned as
     ``result.monitor``); safe configurations stay clean over arbitrarily
-    long adversarial runs.
+    long adversarial runs.  With ``obs`` on as well, each violation is
+    also counted in ``invariant_violations_total{clause}`` and recorded
+    as a trace NOTE from actor ``monitor``.
 
     ``fault_plan`` (a :class:`~repro.robustness.faults.FaultPlan`)
     installs scripted frame corruption, brownout loss ramps, and endpoint
@@ -187,14 +188,14 @@ def run_transfer(
 
     ``obs`` turns on the unified telemetry layer (:mod:`repro.obs`):
     pass True for a fresh per-run :class:`~repro.obs.session.Observability`
-    (optionally shaped by ``obs_run_id`` / ``obs_labels`` /
-    ``obs_sample_invariants_every``), or an existing session to reuse its
-    registry.  The session instruments the engine, both channels, the
-    endpoints (per-seq lifecycle spans via the trace-record tee), and the
-    adaptive controller; ``result.latencies`` then comes from the span
-    tracker, and the session is returned as ``result.obs`` for
-    snapshotting/export.  With ``obs`` falsy (the default) none of this
-    code runs and no telemetry objects are allocated.
+    (optionally shaped by ``obs_run_id`` / ``obs_labels``), or an
+    existing session to reuse its registry.  The session instruments the
+    engine, both channels, the endpoints (per-seq lifecycle spans via the
+    trace-record tee), and the adaptive controller; ``result.latencies``
+    then comes from the span tracker, and the session is returned as
+    ``result.obs`` for snapshotting/export.  With ``obs`` falsy (the
+    default) none of this code runs and no telemetry objects are
+    allocated.
 
     ``causal`` turns on the causal diagnosis layer
     (:mod:`repro.obs.causal`): every protocol-relevant event becomes a
@@ -202,11 +203,12 @@ def run_transfer(
     ring, delivery latencies are decomposed into exact
     queue/timer/retransmission/propagation components
     (``result.causal.attributions``), and an anomaly trigger (link-dead,
-    degraded/diverged stabilization, deep RTO backoff, invariant-probe
-    violation) dumps the ring to ``results/obs/flight/<run_id>.jsonl``
-    (``result.flight_path``).  Independent of ``obs`` and composable
-    with it; the graph never perturbs rng or scheduling, so decision
-    traces are bit-identical with the layer on or off.
+    degraded/diverged stabilization, deep RTO backoff, a violation found
+    by the invariant monitor with ``obs`` on) dumps the ring to
+    ``results/obs/flight/<run_id>.jsonl`` (``result.flight_path``).
+    Independent of ``obs`` and composable with it; the graph never
+    perturbs rng or scheduling, so decision traces are bit-identical
+    with the layer on or off.
     """
     from repro.sim.host import FlowSpec, SessionHost, session_to_transfer  # cycle guard
 
@@ -226,7 +228,6 @@ def run_transfer(
         obs=obs,
         obs_run_id=obs_run_id or "transfer",
         obs_labels=obs_labels,
-        obs_sample_invariants_every=obs_sample_invariants_every,
         causal=causal,
     ).run()
     result = session_to_transfer(session)

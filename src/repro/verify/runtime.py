@@ -25,15 +25,26 @@ Note the deliberate scope: the monitor checks *wire-level multiplicity*,
 which the invariant implies but which requires no decoding.  It therefore
 works identically for unbounded and mod-2w numbering, and cannot itself
 be fooled by the decode ambiguity that broken configurations create.
+
+Every check is incremental, so the monitor can watch every event of a
+long wide-window run: beside the in-flight data count per wire number it
+keeps, per wire number, the count of in-flight acknowledgments covering
+it, updated as acks enter and leave the reverse channel.  A data send is
+then one lookup, and an ack send or removal touches only its own span.
+With an obs registry and recorder attached, each violation also counts
+in ``invariant_violations_total{clause}`` and lands in the trace as a
+``NOTE`` from actor ``monitor``, where the causal layer turns it into
+an ``invariant_violation`` flight-recorder trigger.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import BlockAck, DataMessage
+from repro.trace.events import EventKind
 
 __all__ = [
     "InvariantMonitor",
@@ -47,8 +58,9 @@ def span_wires(span, domain: Optional[int]) -> set:
     """The set of wire numbers an ack span ``(lo, hi)`` covers.
 
     With a finite wire-number ``domain`` the span may wrap; unbounded
-    numbering never wraps.  Shared by :class:`InvariantMonitor` and the
-    sampling probes of :mod:`repro.obs.probes`.
+    numbering never wraps.  :class:`InvariantMonitor` walks this set to
+    update its per-wire ack cover counts; its iteration order decides
+    which wire a violation report names.
     """
     lo, hi = span
     if domain is None or hi >= lo:
@@ -68,14 +80,6 @@ class MonitorViolation:
         return f"t={self.time:.4f} {self.clause}: {self.detail}"
 
 
-@dataclass
-class _FlightState:
-    """Wire-level occupancy of one direction."""
-
-    data_wires: dict = field(default_factory=dict)  # wire -> count
-    ack_spans: list = field(default_factory=list)  # list of (lo, hi) wires
-
-
 class InvariantMonitor:
     """Attach to a sender/receiver pair and its channels; collect violations.
 
@@ -92,6 +96,13 @@ class InvariantMonitor:
     strict:
         If True, raise ``AssertionError`` at the first violation instead
         of collecting.
+    registry:
+        Optional metrics registry; each violation increments
+        ``invariant_violations_total{clause}``, declared at the first
+        violation so a clean run adds no series.
+    recorder:
+        Optional trace recorder; each violation is recorded as a ``NOTE``
+        from actor ``monitor``.
     """
 
     def __init__(
@@ -102,17 +113,23 @@ class InvariantMonitor:
         reverse: Any,
         domain: Optional[int] = None,
         strict: bool = False,
+        registry: Any = None,
+        recorder: Any = None,
     ) -> None:
         self.sender = sender
         self.receiver = receiver
         self.domain = domain
         self.strict = strict
         self.violations: List[MonitorViolation] = []
-        self._forward = _FlightState()
+        self._registry = registry
+        self._recorder = recorder
+        # in-flight occupancy; a key is present only while its count > 0
+        self._data_wires: Dict[int, int] = {}  # wire -> data copies
+        self._ack_spans: Dict[Tuple[int, int], int] = {}  # span -> ack copies
+        self._ack_cover: Dict[int, int] = {}  # wire -> acks covering it
         self._sim = forward.sim
         forward.add_observer(self._on_forward_event)
         reverse.add_observer(self._on_reverse_event)
-        self._reverse = _FlightState()
 
     # ------------------------------------------------------------------
     # channel observers
@@ -121,70 +138,72 @@ class InvariantMonitor:
     def _on_forward_event(self, kind: str, message: Any) -> None:
         if not isinstance(message, DataMessage):
             return
-        wires = self._forward.data_wires
+        wires = self._data_wires
+        wire = message.seq
         if kind in ("send", "duplicate"):
-            wires[message.seq] = wires.get(message.seq, 0) + 1
-            if wires[message.seq] > 1:
+            count = wires[wire] = wires.get(wire, 0) + 1
+            if count > 1:
                 self._flag(
                     "8: duplicate data in transit",
-                    f"two in-flight data messages carry wire seq {message.seq}",
+                    f"two in-flight data messages carry wire seq {wire}",
                 )
-            if self._covered_by_ack(message.seq):
+            if wire in self._ack_cover:
                 self._flag(
                     "8: data coexists with covering ack",
-                    f"data wire seq {message.seq} sent while an in-flight "
+                    f"data wire seq {wire} sent while an in-flight "
                     "acknowledgment covers it",
                 )
         else:  # deliver / lose / age all remove the copy
-            count = wires.get(message.seq, 0) - 1
+            count = wires.get(wire, 0) - 1
             if count <= 0:
-                wires.pop(message.seq, None)
+                wires.pop(wire, None)
             else:
-                wires[message.seq] = count
+                wires[wire] = count
         self._check_counters()
 
     def _on_reverse_event(self, kind: str, message: Any) -> None:
         if not isinstance(message, BlockAck):
             return
-        spans = self._reverse.ack_spans
+        spans = self._ack_spans
+        cover = self._ack_cover
         span = (message.lo, message.hi)
         if kind in ("send", "duplicate"):
-            covered = self._span_wires(span)
+            covered = span_wires(span, self.domain)
+            if not cover.keys().isdisjoint(covered):
+                wire = next(wire for wire in covered if wire in cover)
+                self._flag(
+                    "8: overlapping acks in transit",
+                    f"wire seq {wire} covered by two in-flight acks",
+                )
+            data = self._data_wires
+            if not data.keys().isdisjoint(covered):
+                wire = next(wire for wire in covered if wire in data)
+                self._flag(
+                    "8: ack coexists with covered data",
+                    f"ack {span} sent while data wire seq {wire} in flight",
+                )
+            spans[span] = spans.get(span, 0) + 1
             for wire in covered:
-                if any(
-                    wire in self._span_wires(existing) for existing in spans
-                ):
-                    self._flag(
-                        "8: overlapping acks in transit",
-                        f"wire seq {wire} covered by two in-flight acks",
-                    )
-                    break
-            for wire in covered:
-                if wire in self._forward.data_wires:
-                    self._flag(
-                        "8: ack coexists with covered data",
-                        f"ack {span} sent while data wire seq {wire} in flight",
-                    )
-                    break
-            spans.append(span)
-        else:
-            if span in spans:
-                spans.remove(span)
+                cover[wire] = cover.get(wire, 0) + 1
+        elif span in spans:
+            count = spans.pop(span) - 1
+            if count:
+                spans[span] = count
+            for wire in span_wires(span, self.domain):
+                count = cover[wire] - 1
+                if count:
+                    cover[wire] = count
+                else:
+                    del cover[wire]
         self._check_counters()
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
 
-    def _span_wires(self, span) -> set:
-        return span_wires(span, self.domain)
-
-    def _covered_by_ack(self, wire: int) -> bool:
-        return any(
-            wire in self._span_wires(span) for span in self._reverse.ack_spans
-        )
-
     def _check_counters(self) -> None:
+        if self.domain is not None:
+            return  # wrapped counters are not directly comparable
         sender_state = getattr(self.sender, "window", None) or getattr(
             self.sender, "book", None
         )
@@ -193,8 +212,6 @@ class InvariantMonitor:
         )
         if sender_state is None or receiver_state is None:
             return
-        if self.domain is not None:
-            return  # wrapped counters are not directly comparable
         na = sender_state.na
         nr = receiver_state.nr
         vr = receiver_state.vr
@@ -204,6 +221,16 @@ class InvariantMonitor:
     def _flag(self, clause: str, detail: str) -> None:
         violation = MonitorViolation(self._sim.now, clause, detail)
         self.violations.append(violation)
+        if self._registry is not None:
+            self._registry.counter(
+                "invariant_violations_total",
+                "observed breaches of invariant 6 ∧ 7 ∧ 8, by clause",
+                labelnames=("clause",),
+            ).labels(clause=clause).inc()
+        if self._recorder is not None:
+            self._recorder.record(
+                "monitor", EventKind.NOTE, detail=f"invariant {clause}: {detail}"
+            )
         if self.strict:
             raise AssertionError(str(violation))
 

@@ -1,4 +1,6 @@
-"""Tests for the sampled invariant probe and the Observability session."""
+"""Tests for the invariant monitor's obs reporting and the Observability session."""
+
+import json
 
 import pytest
 
@@ -7,12 +9,11 @@ from repro.channel.delay import UniformDelay
 from repro.channel.impairments import BernoulliLoss
 from repro.core.messages import BlockAck, DataMessage
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.probes import InvariantProbe
-from repro.obs.session import Observability
 from repro.protocols.registry import make_pair
 from repro.sim.runner import LinkSpec, run_transfer
 from repro.trace.events import EventKind
 from repro.trace.recorder import TraceRecorder
+from repro.verify.runtime import InvariantMonitor
 from repro.workloads.sources import GreedySource
 
 
@@ -32,81 +33,113 @@ def lossy_transfer(total=80, **obs_kwargs):
 
 
 class TestProbeUnit:
-    def make_probe(self, sim, **kwargs):
+    """The monitor reporting into a registry and a recorder, as under obs."""
+
+    def make_monitor(self, sim, **kwargs):
         forward = Channel(sim)
         reverse = Channel(sim)
         forward.connect(lambda m: None)
         reverse.connect(lambda m: None)
         sender, receiver = make_pair("blockack", window=4)
         return (
-            InvariantProbe(sender, receiver, forward, reverse, **kwargs),
+            InvariantMonitor(sender, receiver, forward, reverse, **kwargs),
             forward,
             reverse,
         )
 
-    def test_sample_every_must_be_positive(self, sim):
-        with pytest.raises(ValueError):
-            self.make_probe(sim, sample_every=0)
-
-    def test_sweep_runs_once_per_period(self, sim):
-        probe, forward, _ = self.make_probe(sim, sample_every=3)
-        for seq in range(7):
-            forward.send(DataMessage(seq=seq, payload=None))
-        sim.run()
-        # 7 sends + 7 delivers = 14 events -> 4 sweeps
-        assert probe.events_seen == 14
-        assert probe.checks_run == 4
-
     def test_duplicate_data_flagged_as_metric_and_note(self, sim):
         registry = MetricsRegistry()
         recorder = TraceRecorder(sim)
-        probe, forward, _ = self.make_probe(
-            sim, sample_every=1, registry=registry, recorder=recorder
+        monitor, forward, _ = self.make_monitor(
+            sim, registry=registry, recorder=recorder
         )
         forward.send(DataMessage(seq=5, payload=None))
+        assert registry.get("invariant_violations_total") is None
         forward.send(DataMessage(seq=5, payload=None))  # same wire number
-        assert not probe.clean
+        assert not monitor.clean
         violations = registry.get("invariant_violations_total")
-        assert violations.value_for(clause="8: duplicate data in transit") >= 1
-        notes = recorder.filter(kind=EventKind.NOTE, actor="probe")
+        assert violations.value_for(clause="8: duplicate data in transit") == 1
+        notes = recorder.filter(kind=EventKind.NOTE, actor="monitor")
         assert notes and "duplicate data" in notes[0].detail
 
     def test_overlapping_acks_flagged(self, sim):
-        probe, _, reverse = self.make_probe(sim, sample_every=1)
+        registry = MetricsRegistry()
+        recorder = TraceRecorder(sim)
+        monitor, _, reverse = self.make_monitor(
+            sim, registry=registry, recorder=recorder
+        )
         reverse.send(BlockAck(lo=0, hi=3))
         reverse.send(BlockAck(lo=2, hi=5))
-        assert any("overlapping acks" in v.clause for v in probe.violations)
+        assert [v.clause for v in monitor.violations] == [
+            "8: overlapping acks in transit"
+        ]
+        assert "wire seq 2 " in monitor.violations[0].detail
+        counter = registry.get("invariant_violations_total")
+        assert counter.value_for(clause="8: overlapping acks in transit") == 1
+        notes = recorder.filter(kind=EventKind.NOTE, actor="monitor")
+        assert len(notes) == 1 and "overlapping acks" in notes[0].detail
 
     def test_probe_never_raises(self, sim):
-        probe, forward, _ = self.make_probe(sim, sample_every=1)
+        monitor, forward, _ = self.make_monitor(sim, registry=MetricsRegistry())
         forward.send(DataMessage(seq=1, payload=None))
         forward.send(DataMessage(seq=1, payload=None))
-        # strict mode is forced off: violations collect, nothing raised
-        assert probe.strict is False
-        assert len(probe.violations) >= 1
+        # strict is off by default: violations collect, nothing raised
+        assert monitor.strict is False
+        assert len(monitor.violations) == 1
 
 
 class TestProbeInTransfer:
     def test_clean_protocol_zero_violations(self):
-        result = lossy_transfer(obs_sample_invariants_every=16)
-        probe = result.obs.probe
+        result = lossy_transfer(monitor_invariants=True)
         assert result.completed
-        assert probe is not None
-        assert probe.checks_run > 0
-        assert probe.clean
-        checks = result.obs.registry.get("invariant_checks_total")
-        assert checks.value == probe.checks_run
+        assert result.monitor is not None
+        assert result.monitor.clean
+        # declared at the first violation: a clean export has no series
+        assert result.obs.registry.get("invariant_violations_total") is None
 
     def test_probe_off_by_default(self):
         result = lossy_transfer()
-        assert result.obs.probe is None
+        assert result.monitor is None
+
+    def test_violation_counts_notes_and_dumps_flight(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs.schema import validate_file
+
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        sender, receiver = make_pair(
+            "blockack", window=8, bounded_wire=True,
+            timeout_mode="aggressive", timeout_period=1.2,  # below safe
+        )
+        link = LinkSpec(
+            delay=UniformDelay(0.2, 1.8), loss=BernoulliLoss(0.1),
+            max_lifetime=3.0,
+        )
+        result = run_transfer(
+            sender, receiver, GreedySource(100),
+            forward=link, reverse=link, seed=3, max_time=2_000.0,
+            trace=True, monitor_invariants=True, obs=True, causal=True,
+            obs_run_id="violating",
+        )
+        violations = result.monitor.violations
+        assert violations
+        counter = result.obs.registry.get("invariant_violations_total")
+        assert sum(
+            counter.value_for(clause=clause)
+            for clause in {v.clause for v in violations}
+        ) == len(violations)
+        notes = result.trace.filter(kind=EventKind.NOTE, actor="monitor")
+        assert len(notes) == len(violations)
+        reasons = [reason for _, reason, _ in result.causal.triggers]
+        assert "invariant_violation" in reasons
+        assert result.flight_path == str(tmp_path / "flight" / "violating.jsonl")
+        assert validate_file(result.flight_path) == []
+        with open(result.flight_path, encoding="utf-8") as handle:
+            meta = json.loads(handle.readline())
+        assert meta["labels"]["flight"] == "invariant_violation"
 
 
 class TestObservabilitySession:
-    def test_rejects_negative_sampling(self):
-        with pytest.raises(ValueError):
-            Observability(sample_invariants_every=-1)
-
     def test_scoped_sessions_do_not_share_series(self):
         a = lossy_transfer(obs_run_id="a")
         b = lossy_transfer(obs_run_id="b")
