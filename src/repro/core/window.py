@@ -364,6 +364,10 @@ class ReceiverWindow:
         """Out-of-order numbers received above ``vr`` (buffered)."""
         return sorted(self._rcvd)
 
+    def buffered_count(self) -> int:
+        """Number of out-of-order messages currently buffered."""
+        return len(self._rcvd)
+
     def has_received(self, seq: int) -> bool:
         """True if ``seq`` was ever received (accepted or buffered)."""
         return seq < self.vr or seq in self._rcvd

@@ -512,18 +512,28 @@ class BlockAckSender(WindowedSender):
         if self._oracle_receiver is None:
             raise RuntimeError("oracle mode requires enable_oracle(...) wiring")
         receiver = self._oracle_receiver
+        # One read of each channel serves the whole loop: a resend below
+        # adds only its own wire number, which no other outstanding seq
+        # carries, and ``na`` cannot move before the next ack arrives.
+        # With modular numbering the in-flight window is narrower than
+        # the domain (assertion 8 + assertion 6), so decoding each ack
+        # against ``na`` is exact.
+        data_wires = {
+            message.seq
+            for message in self._oracle_forward.in_flight()
+            if isinstance(message, DataMessage)
+        }
+        na = self.window.na
+        decode = self.numbering.decode_at_sender
+        ack_spans = [
+            (decode(message.lo, na), decode(message.hi, na))
+            for message in self._oracle_reverse.in_flight()
+            if isinstance(message, BlockAck)
+        ]
         for seq in self.window.outstanding():
-            wire = self.numbering.encode(seq)
-            in_forward = self._oracle_forward.count_matching(
-                lambda m, w=wire: isinstance(m, DataMessage) and m.seq == w
-            )
-            if in_forward:
+            if self.numbering.encode(seq) in data_wires:
                 continue  # *SR^i != 0
-            covered = self._oracle_reverse.count_matching(
-                lambda m, s=seq: isinstance(m, BlockAck)
-                and self._ack_covers(m, s)
-            )
-            if covered:
+            if any(lo <= seq <= hi for lo, hi in ack_spans):
                 continue  # *RS^i != 0
             if not (seq < receiver.oracle_nr or not receiver.oracle_has_received(seq)):
                 continue  # rcvd[i] ∧ i >= nr: receiver will ack it unaided
@@ -534,17 +544,6 @@ class BlockAckSender(WindowedSender):
             self._transmit(seq, attempt=1)
         if not self.window.all_acknowledged:
             self._poll.start(self.timeout_period)
-
-    def _ack_covers(self, ack: BlockAck, seq: int) -> bool:
-        """Does in-flight wire ack ``ack`` cover true sequence ``seq``?
-
-        With unbounded numbering this is a plain range test.  With modular
-        numbering the in-flight window is narrower than the domain
-        (assertion 8 + assertion 6), so decoding against ``na`` is exact.
-        """
-        lo = self.numbering.decode_at_sender(ack.lo, self.window.na)
-        hi = self.numbering.decode_at_sender(ack.hi, self.window.na)
-        return lo <= seq <= hi
 
 
 class BlockAckReceiver(WindowedReceiver):
@@ -594,7 +593,7 @@ class BlockAckReceiver(WindowedReceiver):
             self.stats.out_of_order += 1
         pending_before = self.window.vr - self.window.nr
         self.window.advance()  # paper action 4 (iterated)
-        self._note_buffered(len(self.window.received_unaccepted))
+        self._note_buffered(self.window.buffered_count())
         pending = self.window.vr - self.window.nr
         if pending > pending_before or pending > 0:
             self.ack_policy.on_update(pending)

@@ -215,7 +215,7 @@ class SackReceiver(WindowedReceiver):
         outcome = self.window.accept(seq, message.payload)
         self._classify(outcome, seq, self.window.vr)
         self.window.advance()
-        self._note_buffered(len(self.window.received_unaccepted))
+        self._note_buffered(self.window.buffered_count())
         self._drain_ready()
         self._send_ack(recent=seq)
 

@@ -104,7 +104,7 @@ class SelectiveRepeatReceiver(WindowedReceiver):
         # the defining trait: EVERY received data message gets its own ack
         self._send_ack(seq)
         self.window.advance()
-        self._note_buffered(len(self.window.received_unaccepted))
+        self._note_buffered(self.window.buffered_count())
         self._drain_ready()
 
     def _send_ack(self, seq: int) -> None:

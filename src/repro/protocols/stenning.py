@@ -254,7 +254,7 @@ class StenningReceiver(ReceiverEndpoint):
         self._send_ack(seq)
         self.window.advance()
         self.stats.max_buffered = max(
-            self.stats.max_buffered, len(self.window.received_unaccepted)
+            self.stats.max_buffered, self.window.buffered_count()
         )
         while self.window.ack_ready:
             lo, hi, payloads = self.window.take_block()

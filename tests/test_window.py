@@ -187,6 +187,7 @@ class TestReceiverWindow:
         window.accept(2)
         window.accept(4)
         assert window.received_unaccepted == [2, 4]
+        assert window.buffered_count() == 2
 
     def test_has_received(self):
         window = ReceiverWindow(4)
