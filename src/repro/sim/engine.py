@@ -249,8 +249,10 @@ class Simulator:
         ----------
         until:
             Stop once the next event would be strictly later than this
-            time.  The clock is advanced to ``until`` on exit so that
-            subsequent relative scheduling behaves intuitively.
+            time.  When no pending event at or before ``until`` remains,
+            the clock is advanced to ``until`` on exit so that subsequent
+            relative scheduling behaves intuitively; a drain cut short
+            by ``max_events`` leaves the clock at the last event run.
         max_events:
             Stop after executing this many events (a runaway guard).
         """
@@ -301,7 +303,9 @@ class Simulator:
         finally:
             self._running = False
         if until is not None and self._now < until:
-            self._now = until
+            head_time = self.peek_time()
+            if head_time is None or head_time > until:
+                self._now = until
 
     def run_while(
         self,

@@ -140,6 +140,19 @@ class TestRunControl:
         sim.run(max_events=50)
         assert sim.events_processed == 50
 
+    def test_max_events_cut_keeps_clock_before_pending_events(self, sim):
+        seen = []
+        sim.schedule(1.0, seen.append, "a")
+        sim.schedule(2.0, seen.append, "b")
+        sim.run(until=10.0, max_events=1)
+        assert seen == ["a"]
+        assert sim.now == 1.0  # "b" at 2.0 is still pending
+        assert sim.peek_time() == 2.0
+        assert sim.step() is True
+        assert sim.now == 2.0
+        sim.run(until=10.0)
+        assert sim.now == 10.0  # drained: the clock reaches the horizon
+
     def test_step_returns_false_on_empty_queue(self, sim):
         assert sim.step() is False
 
