@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -63,13 +63,16 @@ COUNT_BUCKETS: Tuple[float, ...] = (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64)
 
 
 def _label_values(
-    labelnames: Tuple[str, ...], labels: Dict[str, str]
+    labelnames: Tuple[str, ...],
+    labelset: FrozenSet[str],
+    labels: Dict[str, str],
 ) -> Tuple[str, ...]:
-    if set(labels) != set(labelnames):
+    # a keys view compares with a set in C, without building either side
+    if labels.keys() != labelset:
         raise ValueError(
             f"expected labels {labelnames}, got {tuple(sorted(labels))}"
         )
-    return tuple(str(labels[name]) for name in labelnames)
+    return tuple([str(labels[name]) for name in labelnames])
 
 
 class _Instrument:
@@ -83,11 +86,15 @@ class _Instrument:
         self.name = name
         self.help = help
         self.labelnames: Tuple[str, ...] = tuple(labelnames)
+        self._labelset = frozenset(self.labelnames)
         self._children: Dict[Tuple[str, ...], object] = {}
+        # the unlabelled child, kept after its first use so unlabelled
+        # inc/set/observe skip the checks and the dict lookup
+        self._default = None
 
     def labels(self, **labels: str):
         """Bound child for one label-value combination (cached)."""
-        key = _label_values(self.labelnames, labels)
+        key = _label_values(self.labelnames, self._labelset, labels)
         child = self._children.get(key)
         if child is None:
             child = self._make_child()
@@ -98,7 +105,11 @@ class _Instrument:
         raise NotImplementedError
 
     def _default_child(self):
-        """The unlabelled child (only valid when labelnames is empty)."""
+        """The unlabelled child (only valid when labelnames is empty).
+
+        Creates the series on first use; unlabelled ``inc``/``set``/
+        ``observe`` call this only until :attr:`_default` is set.
+        """
         if self.labelnames:
             raise ValueError(
                 f"{self.name} is declared with labels {self.labelnames}; "
@@ -108,6 +119,7 @@ class _Instrument:
         if child is None:
             child = self._make_child()
             self._children[()] = child
+        self._default = child
         return child
 
     def samples(self) -> Iterable[Tuple[Tuple[str, ...], object]]:
@@ -133,7 +145,7 @@ class Counter(_Instrument):
         return _BoundCounter()
 
     def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
+        (self._default or self._default_child()).value += amount
 
     @property
     def value(self) -> float:
@@ -142,7 +154,9 @@ class Counter(_Instrument):
         return child.value if child is not None else 0.0
 
     def value_for(self, **labels: str) -> float:
-        child = self._children.get(_label_values(self.labelnames, labels))
+        child = self._children.get(
+            _label_values(self.labelnames, self._labelset, labels)
+        )
         return child.value if child is not None else 0.0
 
 
@@ -171,13 +185,13 @@ class Gauge(_Instrument):
         return _BoundGauge()
 
     def set(self, value: float) -> None:
-        self._default_child().set(value)
+        (self._default or self._default_child()).value = value
 
     def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
+        (self._default or self._default_child()).value += amount
 
     def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
+        (self._default or self._default_child()).value -= amount
 
     @property
     def value(self) -> float:
@@ -185,7 +199,9 @@ class Gauge(_Instrument):
         return child.value if child is not None else 0.0
 
     def value_for(self, **labels: str) -> float:
-        child = self._children.get(_label_values(self.labelnames, labels))
+        child = self._children.get(
+            _label_values(self.labelnames, self._labelset, labels)
+        )
         return child.value if child is not None else 0.0
 
 
@@ -241,7 +257,7 @@ class Histogram(_Instrument):
         return _BoundHistogram(self.buckets)
 
     def observe(self, value: float) -> None:
-        self._default_child().observe(value)
+        (self._default or self._default_child()).observe(value)
 
     @property
     def count(self) -> int:

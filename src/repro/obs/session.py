@@ -64,33 +64,45 @@ class SimInstruments:
     a simulator without instruments runs its original loops untouched.
     """
 
-    __slots__ = ("_scheduled", "_fired", "_cancelled", "_depth")
+    __slots__ = ("_instruments", "_scheduled", "_fired", "_cancelled", "_depth")
 
     def __init__(self, registry: MetricsRegistry) -> None:
-        self._scheduled = registry.counter(
-            "sim_events_scheduled_total", "events pushed onto the event list"
-        )
-        self._fired = registry.counter(
-            "sim_events_fired_total", "event callbacks executed"
-        )
-        self._cancelled = registry.counter(
-            "sim_events_cancelled_total",
-            "cancelled events lazily discarded from the queue",
-        )
-        self._depth = registry.gauge(
-            "sim_queue_depth", "event-list entries (including cancelled)"
-        )
+        # declared now, so the snapshot lists them even when empty; each
+        # series is created by its first event (see _bind) and from then
+        # on the hooks bump its bound child directly
+        self._instruments = {
+            "_scheduled": registry.counter(
+                "sim_events_scheduled_total",
+                "events pushed onto the event list",
+            ),
+            "_fired": registry.counter(
+                "sim_events_fired_total", "event callbacks executed"
+            ),
+            "_cancelled": registry.counter(
+                "sim_events_cancelled_total",
+                "cancelled events lazily discarded from the queue",
+            ),
+            "_depth": registry.gauge(
+                "sim_queue_depth", "event-list entries (including cancelled)"
+            ),
+        }
+        self._scheduled = self._fired = self._cancelled = self._depth = None
+
+    def _bind(self, slot: str):
+        child = self._instruments[slot].labels()
+        setattr(self, slot, child)
+        return child
 
     def on_schedule(self, queue_len: int) -> None:
-        self._scheduled.inc()
-        self._depth.set(queue_len)
+        (self._scheduled or self._bind("_scheduled")).value += 1.0
+        (self._depth or self._bind("_depth")).value = queue_len
 
     def on_fire(self, queue_len: int) -> None:
-        self._fired.inc()
-        self._depth.set(queue_len)
+        (self._fired or self._bind("_fired")).value += 1.0
+        (self._depth or self._bind("_depth")).value = queue_len
 
     def on_cancel_discard(self) -> None:
-        self._cancelled.inc()
+        (self._cancelled or self._bind("_cancelled")).value += 1.0
 
 
 class ControllerInstruments:
@@ -210,7 +222,7 @@ class Observability:
         def observe(kind: str, message: Any) -> None:  # noqa: ARG001
             child = bound.get(kind)
             if child is not None:
-                child.inc()
+                child.value += 1.0
 
         channel.add_observer(observe)
         self._channel_stats.append((link, channel))
