@@ -335,8 +335,7 @@ class _FlowHarness:
 
     __slots__ = (
         "index", "spec", "forward_port", "reverse_port", "delivered_payloads",
-        "latencies", "tracker", "monitor", "original_submit",
-        "submit_was_instance_attr",
+        "latencies", "monitor", "original_submit", "submit_was_instance_attr",
     )
 
     def __init__(self, index: int, spec: FlowSpec) -> None:
@@ -346,7 +345,6 @@ class _FlowHarness:
         self.reverse_port: Any = None
         self.delivered_payloads: List[Any] = []
         self.latencies: List[float] = []
-        self.tracker = None  # SpanTracker when obs is on
         self.monitor = None
         self.original_submit: Optional[Callable] = None
         self.submit_was_instance_attr = False
@@ -578,7 +576,7 @@ class SessionHost:
         if obs_session is not None and self.muxed:
             # per-flow span tracker on the shared registry: instruments
             # (histograms/counters) merge into session aggregates while
-            # each flow keeps its own span table and latency list
+            # each flow keeps its own span table
             from repro.obs.spans import ObsRecorder, SpanTracker
 
             tracker = SpanTracker(obs_session.registry, flow=fid)
@@ -591,7 +589,6 @@ class SessionHost:
             # tracker before forwarding; endpoints need no changes
             tracker = obs_session.span_tracker
             flow_recorder = obs_session.make_recorder(sim, flow_recorder)
-        flow.tracker = tracker
         if self.trace and self.record_channel_drops:
             for port in (forward, reverse):
                 port.add_observer(
@@ -600,35 +597,43 @@ class SessionHost:
 
         _derive_timeout(sender, receiver, forward, reverse)
 
-        # closures over locals: each runs once per delivery/submission
+        # closures over locals: each runs once per delivery/submission.
+        # The latency list is the host's own submit/deliver bookkeeping
+        # with telemetry on or off: Section V endpoints hand out wire
+        # numbers taken mod 2w, which repeat as span keys
         delivered = flow.delivered_payloads
+        latencies = flow.latencies
         submit_times: Dict[int, float] = {}
+        # the telemetry taps, bound once; both are idempotent with the
+        # DELIVER trace record that some protocols also emit
+        track_submit = track_deliver = causal_submit = causal_deliver = None
         if tracker is not None:
+            track_submit, track_deliver = tracker.on_submit, tracker.on_deliver
+        if causal_rec is not None:
+            causal_submit = causal_rec.on_submit
+            causal_deliver = causal_rec.on_deliver
+        observed = tracker is not None or causal_rec is not None
+
+        if observed:
 
             def on_deliver(seq: int, payload: Any) -> None:
                 delivered.append(payload)  # kept for the ordering check
-                # idempotent: protocols that emit DELIVER trace records
-                # have already stamped this span through the recorder tee
-                tracker.on_deliver(seq, sim.now)
+                now = sim.now
+                submitted_at = submit_times.pop(seq, None)
+                if submitted_at is not None:
+                    latencies.append(now - submitted_at)
+                if track_deliver is not None:
+                    track_deliver(seq, now)
+                if causal_deliver is not None:
+                    causal_deliver(seq, now, fid, receiver_name)
 
         else:
-            latencies = flow.latencies
 
             def on_deliver(seq: int, payload: Any) -> None:
                 delivered.append(payload)  # kept for the ordering check
                 submitted_at = submit_times.pop(seq, None)
                 if submitted_at is not None:
                     latencies.append(sim.now - submitted_at)
-
-        if causal_rec is not None:
-            plain_deliver = on_deliver
-
-            def on_deliver(seq: int, payload: Any) -> None:
-                plain_deliver(seq, payload)
-                # idempotent with the DELIVER trace record (attribution keyed)
-                causal_rec.on_deliver(
-                    seq, sim.now, flow=fid, actor=receiver_name
-                )
 
         receiver.on_deliver = on_deliver
 
@@ -666,11 +671,15 @@ class SessionHost:
         flow.submit_was_instance_attr = "submit" in vars(sender)
         original_submit = flow.original_submit = sender.submit
 
-        if tracker is not None:
+        if observed:
 
             def timed_submit(payload: Any) -> int:
                 seq = original_submit(payload)
-                tracker.on_submit(seq, sim.now)
+                now = submit_times[seq] = sim.now
+                if track_submit is not None:
+                    track_submit(seq, now)
+                if causal_submit is not None:
+                    causal_submit(seq, now, fid)
                 return seq
 
         else:
@@ -678,14 +687,6 @@ class SessionHost:
             def timed_submit(payload: Any) -> int:
                 seq = original_submit(payload)
                 submit_times[seq] = sim.now
-                return seq
-
-        if causal_rec is not None:
-            plain_submit = timed_submit
-
-            def timed_submit(payload: Any) -> int:
-                seq = plain_submit(payload)
-                causal_rec.on_submit(seq, sim.now, flow=fid)
                 return seq
 
         sender.submit = timed_submit
@@ -747,11 +748,6 @@ class SessionHost:
                 sender_stats["link_dead"] = getattr(
                     spec.sender, "link_dead", False
                 )
-            latencies = (
-                flow.tracker.latencies()
-                if flow.tracker is not None
-                else flow.latencies
-            )
             ordered_prefix = (
                 flow.delivered_payloads
                 == spec.source.submitted[: len(flow.delivered_payloads)]
@@ -774,7 +770,7 @@ class SessionHost:
                     receiver_stats=spec.receiver.stats.as_dict(),
                     forward_stats=link_stats(flow.forward_port),
                     reverse_stats=link_stats(flow.reverse_port),
-                    latencies=latencies,
+                    latencies=flow.latencies,
                     timeout_period=(
                         getattr(spec.sender, "timeout_period", 0.0) or 0.0
                     ),
