@@ -1,9 +1,16 @@
 """Tests for virtual-time spans and the recorder tee."""
 
+import pytest
+
+from repro.channel.delay import UniformDelay
+from repro.channel.impairments import BernoulliLoss
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import LIFECYCLE_STATES, ObsRecorder, SeqSpan, SpanTracker
+from repro.protocols.registry import make_pair
+from repro.sim.runner import LinkSpec, run_transfer
 from repro.trace.events import EventKind
 from repro.trace.recorder import TraceRecorder
+from repro.workloads.sources import GreedySource
 
 
 def make_tracker():
@@ -86,6 +93,45 @@ class TestSpanTracker:
         tracker.on_event(2.0, "sender", EventKind.RECV_ACK, 0, 0, None)
         stuck = tracker.incomplete()
         assert [span.seq for span in stuck] == [1]
+
+    def test_window_open_acks_everything_below_na(self):
+        # cumulative acks: go-back-N records RECV_ACK with only the top
+        # seq of the ack, TCP-SACK with only its cumulative point
+        tracker = make_tracker()
+        for seq in range(4):
+            tracker.on_submit(seq, 0.0)
+            tracker.on_event(1.0, "sender", EventKind.SEND_DATA, seq, None, None)
+        tracker.on_event(5.0, "sender", EventKind.RECV_ACK, 2, None, None)
+        tracker.on_event(5.0, "sender", EventKind.WINDOW_OPEN, 3, None, None)
+        assert [tracker.spans[seq].acked_at for seq in range(4)] == [
+            5.0, 5.0, 5.0, None
+        ]
+        assert tracker.registry.get("time_in_window").count == 3
+        tracker.on_event(7.0, "sender", EventKind.WINDOW_OPEN, 4, None, None)
+        assert tracker.spans[3].acked_at == 7.0
+        assert tracker.registry.get("retransmits_per_seq").count == 4
+
+    @pytest.mark.parametrize(
+        "protocol", ["blockack", "gobackn", "tcp-sack", "selective-repeat"]
+    )
+    def test_every_span_of_a_transfer_completes(self, protocol):
+        sender, receiver = make_pair(protocol, window=8)
+
+        def link():
+            return LinkSpec(
+                delay=UniformDelay(0.5, 1.5), loss=BernoulliLoss(0.05)
+            )
+
+        result = run_transfer(
+            sender, receiver, GreedySource(300),
+            forward=link(), reverse=link(), seed=3, obs=True,
+        )
+        assert result.completed
+        tracker = result.obs.span_tracker
+        assert tracker.incomplete() == []
+        registry = result.obs.registry
+        assert registry.get("time_in_window").count == 300
+        assert registry.get("retransmits_per_seq").count == 300
 
     def test_timeout_and_window_open_counters(self):
         tracker = make_tracker()
