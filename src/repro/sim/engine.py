@@ -222,19 +222,15 @@ class Simulator:
 
         Returns True if an event ran, False if the queue was empty.
         """
+        self._discard_cancelled_head()
         queue = self._queue
-        instruments = self._instruments
-        while queue and queue[0][2].cancelled:
-            heappop(queue)
-            if instruments is not None:
-                instruments.on_cancel_discard()
         if not queue:
             return False
         time, _, event = heappop(queue)
         self._now = time
         self._events_processed += 1
-        if instruments is not None:
-            instruments.on_fire(len(queue))
+        if self._instruments is not None:
+            self._instruments.on_fire(len(queue))
         event.callback(*event.args)
         return True
 
@@ -397,5 +393,8 @@ class Simulator:
 
     def _discard_cancelled_head(self) -> None:
         queue = self._queue
+        instruments = self._instruments
         while queue and queue[0][2].cancelled:
             heappop(queue)
+            if instruments is not None:
+                instruments.on_cancel_discard()

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim.engine import ScheduleInPastError, SimulationError
+from repro.obs import MetricsRegistry
+from repro.obs.session import SimInstruments
+from repro.sim.engine import ScheduleInPastError, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -113,6 +115,31 @@ class TestCancellation:
 
     def test_peek_time_empty_queue(self, sim):
         assert sim.peek_time() is None
+
+    def test_instruments_count_heads_peek_time_discards(self):
+        registry = MetricsRegistry()
+        sim = Simulator()
+        sim.set_instruments(SimInstruments(registry))
+
+        def count(name):
+            return registry.get(name).value
+
+        def balanced():
+            return count("sim_events_scheduled_total") == (
+                count("sim_events_fired_total")
+                + count("sim_events_cancelled_total")
+                + sim.pending_count
+            )
+
+        first = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        first.cancel()
+        assert sim.peek_time() == 2.0  # pops the cancelled head
+        assert balanced()
+        sim.run()
+        assert balanced()
+        assert count("sim_events_fired_total") == 1
+        assert count("sim_events_cancelled_total") == 1
 
 
 class TestRunControl:
