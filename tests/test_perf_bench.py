@@ -11,6 +11,7 @@ from repro.perf.bench import (
     _transfer,
     compare_bench,
     main,
+    run_obs_overhead,
     run_profile,
     update_bench_json,
 )
@@ -112,6 +113,23 @@ class TestWorkloads:
         assert delivered_default == delivered_fast == 60
         # virtual-time throughput is deterministic and instrument-invariant
         assert throughput_default == throughput_fast
+
+
+def test_obs_overhead_measures_obs_and_causal_together():
+    report = run_obs_overhead(scale=1, repeats=1)
+    assert set(report) == {
+        "engine_chain_off_events_per_sec",
+        "engine_chain_on_events_per_sec",
+        "engine_chain_overhead_pct",
+        "transfer_off_msgs_per_sec",
+        "transfer_on_msgs_per_sec",
+        "transfer_overhead_pct",
+        "transfer_causal_on_msgs_per_sec",
+        "transfer_causal_overhead_pct",
+        "transfer_obs_causal_on_msgs_per_sec",
+        "transfer_obs_causal_overhead_pct",
+    }
+    assert report["transfer_obs_causal_on_msgs_per_sec"] > 0
 
 
 def test_run_profile_writes_dumps(tmp_path):
