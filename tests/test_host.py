@@ -23,6 +23,7 @@ from repro.channel.arbiter import ArbiterConfig
 from repro.channel.delay import UniformDelay
 from repro.channel.impairments import BernoulliLoss
 from repro.experiments.common import lossy_link
+from repro.obs.sink import load_run, summarize_run
 from repro.perf.sweep import (
     RunConfig,
     deserialize_result,
@@ -457,6 +458,75 @@ class TestResultPins:
         assert _digest(sorted(lines)) == (
             "9376920fff3ed67bbbcb47079a105f6b"
             "4ea73d3f6bf3648216cd89231af7b73d"
+        )
+
+    def test_single_flow_obs_trace_export_digest(self, tmp_path):
+        # obs on with tracing on and causal off: the span tee straight over
+        # the trace recorder, whose events the export writes in order
+        sender, receiver = make_pair("blockack", window=8)
+        result = run_transfer(
+            sender, receiver, GreedySource(60),
+            forward=lossy_link(0.1), reverse=lossy_link(0.1), seed=5,
+            trace=True, obs=True, obs_run_id="obs-trace",
+        )
+        assert result.causal is None
+        path = result.obs.export(path=tmp_path / "obs-trace.jsonl")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 361
+        assert _digest(lines) == (
+            "d7b0a53fe46cd4c5ba499f8c0ae51771"
+            "b5085bd7362179ab644128a009fcd4f8"
+        )
+
+    def test_one_flow_arbitrated_obs_export_digest(self, tmp_path):
+        # an active arbiter muxes even one flow: its span records carry
+        # flow 0, and its ports export their own channel series
+        session = run_flows(
+            uniform_flows("blockack", 1, 8, 60),
+            forward=_shared_link(), reverse=_shared_link(), seed=5,
+            arbiter=ArbiterConfig(rate=2.0, scheduler="drr"),
+            trace=True, obs=True, obs_run_id="arb1",
+        )
+        assert session.completed and session.in_order
+        path = session.obs.export(path=tmp_path / "arb1.jsonl")
+        lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        spans = [record for record in records if record["type"] == "span"]
+        assert len(spans) == 60
+        assert all(span["flow"] == 0 for span in spans)
+        links = {
+            sample["labels"]["link"]
+            for sample in records[-1]["metrics"]["channel_events_total"][
+                "samples"
+            ]
+        }
+        assert links == {"SR", "RS", "SR.f0", "RS.f0"}
+        assert len(lines) == 342
+        assert _digest(lines) == (
+            "262e7618d3945dfbfc66d4db3eba467d"
+            "59a6d33c66fcb3c28036ed277bf5c2d9"
+        )
+        # the reader: per-flow latency lines come from the flow tag
+        summary = summarize_run(load_run(path)).replace(str(path), "<path>")
+        assert "flow 0: n=60" in summary
+        assert _digest(summary) == (
+            "89a87e18454cb48628782a56eecb03c8"
+            "123a207bbd47a350f9e195027f32ac04"
+        )
+
+    def test_flows1_sweep_cell_export_digest(self, tmp_path, monkeypatch):
+        # the file a flows=1 obs cell writes from inside execute_config
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        config = RunConfig(**_PIN_BASE, obs=True)
+        result = execute_config(config)
+        assert result.per_flow == [] and result.fairness is None
+        assert result.obs_path == str(tmp_path / f"{config.run_id()}.jsonl")
+        with open(result.obs_path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert len(lines) == 122
+        assert _digest(lines) == (
+            "793d9527af2756e42d90435255da2c7a"
+            "1763be59005fd9b3fd24eb855451d3c4"
         )
 
     def test_trace_with_channel_drops_digest(self):
