@@ -488,12 +488,13 @@ def _print_causal(result) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.obs.analyze import load_analysis, render_report, write_perfetto
+    from repro.obs.analyze import render_report, write_perfetto
+    from repro.obs.sink import load_run
 
-    analysis = load_analysis(args.path)
-    print(render_report(analysis, limit=args.limit))
+    dump = load_run(args.path)
+    print(render_report(dump, limit=args.limit))
     if args.perfetto:
-        path = write_perfetto(analysis, args.perfetto)
+        path = write_perfetto(dump, args.perfetto)
         print(f"wrote {path}")
     return 0
 

@@ -8,12 +8,9 @@ UDP transport.  It has three cooperating pieces:
   (:class:`~repro.obs.metrics.Counter` /
   :class:`~repro.obs.metrics.Gauge` /
   :class:`~repro.obs.metrics.Histogram`, with labels and fixed bucket
-  boundaries for RTT/latency distributions).  A process-global
-  :data:`~repro.obs.metrics.DEFAULT_REGISTRY` exists for ad-hoc use, and
-  per-run scoped registries keep parallel sweep workers isolated.  The
-  **null path** is allocation-free: :data:`~repro.obs.metrics.NULL_REGISTRY`
-  hands out no-op singleton instruments, so code can be instrumented
-  unconditionally and pay ~nothing when observability is off.
+  boundaries for RTT/latency distributions).  Every observed run owns a
+  scoped registry, so parallel sweep workers stay isolated; a run with
+  observability off builds none and wires no instruments.
 * :mod:`repro.obs.spans` — virtual-time spans keyed off ``Simulator.now``
   tracking the per-sequence-number lifecycle
   ``submitted -> sent -> [resend...] -> acked -> delivered`` and deriving
@@ -22,7 +19,9 @@ UDP transport.  It has three cooperating pieces:
 * :mod:`repro.obs.sink` — structured export: a
   :class:`~repro.obs.sink.JsonlSink` streaming trace events, spans, and
   metric snapshots to ``results/obs/<run_id>.jsonl`` with the stable
-  schema of :mod:`repro.obs.schema`, plus snapshot diffing for the
+  schema of :mod:`repro.obs.schema`, the one reader of those files
+  (:func:`~repro.obs.sink.load_run`, which ``blockack obs`` and
+  ``blockack analyze`` share), plus snapshot diffing for the
   ``blockack obs diff`` subcommand.  Prometheus text rendering lives in
   :class:`~repro.obs.metrics.TextExposition`.
 
@@ -39,9 +38,7 @@ entry points most callers want.
 """
 
 from repro.obs.metrics import (
-    DEFAULT_REGISTRY,
     LATENCY_BUCKETS,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -58,8 +55,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "TextExposition",
-    "DEFAULT_REGISTRY",
-    "NULL_REGISTRY",
     "LATENCY_BUCKETS",
     "SpanTracker",
     "SeqSpan",

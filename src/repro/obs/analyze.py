@@ -1,6 +1,7 @@
 """Root-cause analysis over causal dumps: ``blockack analyze``.
 
-Input is any ``repro.obs/v2`` JSONL file — a flight dump written by the
+Input is any ``repro.obs/v2`` JSONL file, loaded with
+:func:`~repro.obs.sink.load_run` — a flight dump written by the
 :class:`~repro.obs.causal.CausalRecorder` when an anomaly trigger fired
 (``results/obs/flight/<run_id>.jsonl``), or a regular telemetry export
 (which carries spans and attribution records but no causal nodes).  The
@@ -23,11 +24,9 @@ import json
 import pathlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.sink import read_records
+from repro.obs.sink import RunDump
 
 __all__ = [
-    "Analysis",
-    "load_analysis",
     "seq_chains",
     "find_stalls",
     "root_causes",
@@ -44,55 +43,15 @@ US_PER_TU = 1000.0
 STALL_GAP_FACTOR = 4.0
 
 
-class Analysis:
-    """One loaded dump, split by record type."""
-
-    def __init__(self, path: pathlib.Path, records: List[dict]) -> None:
-        self.path = path
-        self.meta: dict = {}
-        self.triggers: List[dict] = []
-        self.nodes: List[dict] = []
-        self.attributions: List[dict] = []
-        self.states: List[dict] = []
-        self.spans: List[dict] = []
-        for record in records:
-            kind = record.get("type")
-            if kind == "meta":
-                self.meta = record
-            elif kind == "trigger":
-                self.triggers.append(record)
-            elif kind == "causal":
-                self.nodes.append(record)
-            elif kind == "attribution":
-                self.attributions.append(record)
-            elif kind == "state":
-                self.states.append(record)
-            elif kind == "span":
-                self.spans.append(record)
-
-    @property
-    def run_id(self) -> str:
-        return self.meta.get("run_id", self.path.stem)
-
-    @property
-    def labels(self) -> dict:
-        return self.meta.get("labels") or {}
-
-
-def load_analysis(path) -> Analysis:
-    path = pathlib.Path(path)
-    return Analysis(path, read_records(path))
-
-
 # ----------------------------------------------------------------------
 # per-seq chains
 # ----------------------------------------------------------------------
 
 
-def seq_chains(analysis: Analysis) -> Dict[Tuple, List[dict]]:
+def seq_chains(dump: RunDump) -> Dict[Tuple, List[dict]]:
     """Causal nodes grouped by ``(flow, seq)``, in recording order."""
     chains: Dict[Tuple, List[dict]] = {}
-    for node in analysis.nodes:
+    for node in dump.nodes:
         seq = node.get("seq")
         if seq is None:
             continue
@@ -151,7 +110,7 @@ def _chain_facts(chain: List[dict]) -> dict:
 
 
 def find_stalls(
-    analysis: Analysis, factor: float = STALL_GAP_FACTOR
+    dump: RunDump, factor: float = STALL_GAP_FACTOR
 ) -> List[dict]:
     """Gaps in the delivery timeline, largest first.
 
@@ -162,7 +121,7 @@ def find_stalls(
     delivers = sorted(
         (
             (node["time"], node.get("flow"), node["seq"])
-            for node in analysis.nodes
+            for node in dump.nodes
             if node.get("kind") == "deliver" and node.get("seq") is not None
         ),
     )
@@ -213,12 +172,12 @@ def _cause_line(flow, seq, facts: dict, stall: Optional[float]) -> str:
     return f"{where}: " + " -> ".join(causes)
 
 
-def root_causes(analysis: Analysis, limit: int = 10) -> List[str]:
+def root_causes(dump: RunDump, limit: int = 10) -> List[str]:
     """One line per troubled seq, worst (longest stall) first."""
-    chains = seq_chains(analysis)
+    chains = seq_chains(dump)
     stalls = {
         (stall["flow"], stall["seq"]): stall["duration"]
-        for stall in find_stalls(analysis)
+        for stall in find_stalls(dump)
     }
     troubled = []
     for key, chain in chains.items():
@@ -240,20 +199,20 @@ def root_causes(analysis: Analysis, limit: int = 10) -> List[str]:
 # ----------------------------------------------------------------------
 
 
-def render_report(analysis: Analysis, limit: int = 10) -> str:
-    lines = [f"analyze {analysis.run_id}  ({analysis.path})"]
-    labels = analysis.labels
+def render_report(dump: RunDump, limit: int = 10) -> str:
+    lines = [f"analyze {dump.run_id}  ({dump.path})"]
+    labels = dump.labels
     if labels:
         rendered = ", ".join(f"{k}={v}" for k, v in sorted(labels.items()))
         lines.append(f"  labels: {rendered}")
     lines.append(
-        f"  records: {len(analysis.nodes)} causal nodes, "
-        f"{len(analysis.attributions)} attributions, "
-        f"{len(analysis.triggers)} trigger(s), "
-        f"{len(analysis.states)} state snapshot(s)"
+        f"  records: {len(dump.nodes)} causal nodes, "
+        f"{len(dump.attributions)} attributions, "
+        f"{len(dump.triggers)} trigger(s), "
+        f"{len(dump.states)} state snapshot(s)"
     )
 
-    for trigger in analysis.triggers:
+    for trigger in dump.triggers:
         detail = trigger.get("detail")
         suffix = f" ({detail})" if detail else ""
         lines.append(
@@ -261,7 +220,7 @@ def render_report(analysis: Analysis, limit: int = 10) -> str:
             f"{trigger['reason']}{suffix}"
         )
 
-    stalls = find_stalls(analysis)
+    stalls = find_stalls(dump)
     if stalls:
         lines.append("  stall timeline (largest first):")
         for stall in stalls[:limit]:
@@ -275,23 +234,23 @@ def render_report(analysis: Analysis, limit: int = 10) -> str:
                 f"({stall['duration']:.2f}tu) waiting on {who}"
             )
 
-    causes = root_causes(analysis, limit=limit)
+    causes = root_causes(dump, limit=limit)
     if causes:
         lines.append("  root causes:")
         lines.extend(f"    {line}" for line in causes)
 
-    if analysis.attributions:
+    if dump.attributions:
         totals = {
             "queue_wait": 0.0, "timer_wait": 0.0,
             "retx_wait": 0.0, "propagation": 0.0,
         }
         grand = 0.0
-        for record in analysis.attributions:
+        for record in dump.attributions:
             grand += record["total"]
             for component in totals:
                 totals[component] += record[component]
         lines.append(
-            f"  latency attribution over {len(analysis.attributions)} "
+            f"  latency attribution over {len(dump.attributions)} "
             f"delivered seq(s), total {grand:.2f}tu:"
         )
         for component, value in totals.items():
@@ -308,22 +267,22 @@ def render_report(analysis: Analysis, limit: int = 10) -> str:
 # ----------------------------------------------------------------------
 
 
-def perfetto_trace(analysis: Analysis) -> dict:
+def perfetto_trace(dump: RunDump) -> dict:
     """The run as Chrome trace-event JSON (https://ui.perfetto.dev)."""
     events: List[dict] = [
         {
             "ph": "M", "pid": 1, "tid": 0, "name": "process_name",
-            "args": {"name": f"blockack {analysis.run_id}"},
+            "args": {"name": f"blockack {dump.run_id}"},
         },
     ]
     attribution_by_key = {
         (record.get("flow"), record["seq"]): record
-        for record in analysis.attributions
+        for record in dump.attributions
     }
 
     # one complete event per delivered seq: submit -> deliver, with the
     # latency attribution riding the args
-    chains = seq_chains(analysis)
+    chains = seq_chains(dump)
     flows_seen = set()
     emitted = set()
     for (flow, seq), chain in sorted(
@@ -357,7 +316,7 @@ def perfetto_trace(analysis: Analysis) -> dict:
         })
         emitted.add((flow, seq))
     # spans from a plain telemetry export fill in when nodes are absent
-    for span in analysis.spans:
+    for span in dump.spans:
         key = (span.get("flow"), span["seq"])
         if key in emitted:
             continue
@@ -382,13 +341,13 @@ def perfetto_trace(analysis: Analysis) -> dict:
         })
 
     # instants: anomaly triggers, faults, and channel losses
-    for trigger in analysis.triggers:
+    for trigger in dump.triggers:
         events.append({
             "ph": "i", "pid": 1, "tid": 0, "s": "g", "cat": "trigger",
             "name": f"trigger:{trigger['reason']}",
             "ts": trigger["time"] * US_PER_TU,
         })
-    for node in analysis.nodes:
+    for node in dump.nodes:
         kind = node.get("kind", "")
         if kind.startswith("fault."):
             events.append({
@@ -406,11 +365,11 @@ def perfetto_trace(analysis: Analysis) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_perfetto(analysis: Analysis, path) -> pathlib.Path:
+def write_perfetto(dump: RunDump, path) -> pathlib.Path:
     """Write the trace-event JSON; returns the path written."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
-        json.dump(perfetto_trace(analysis), handle, separators=(",", ":"))
+        json.dump(perfetto_trace(dump), handle, separators=(",", ":"))
         handle.write("\n")
     return path

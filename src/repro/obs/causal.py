@@ -67,7 +67,7 @@ from repro.core.messages import (
     DataMessage,
     FlowEnvelope,
 )
-from repro.trace.events import EventKind, TraceEvent
+from repro.trace.events import EventKind
 from repro.trace.recorder import NullRecorder
 
 __all__ = [
@@ -178,19 +178,11 @@ class CausalRecorder:
         sim,
         run_id: str = "transfer",
         labels: Optional[Dict[str, str]] = None,
-        ring_capacity: int = FLIGHT_RING_CAPACITY,
-        backoff_trigger: int = BACKOFF_TRIGGER_ATTEMPTS,
-        fairness_threshold: float = FAIRNESS_TRIGGER_THRESHOLD,
-        flight_dir=None,
     ) -> None:
         self._sim = sim
         self.run_id = run_id
         self.labels: Dict[str, str] = dict(labels or {})
-        self.ring_capacity = ring_capacity
-        self.backoff_trigger = backoff_trigger
-        self.fairness_threshold = fairness_threshold
-        self._flight_dir = flight_dir
-        self.ring: deque = deque(maxlen=ring_capacity)  # raw 7-tuples
+        self.ring: deque = deque(maxlen=FLIGHT_RING_CAPACITY)  # raw 7-tuples
         self._ring_append = self.ring.append
         self.frozen: Optional[List[tuple]] = None  # materialized @ 1st trigger
         self.triggers: List[tuple] = []  # (time, reason, detail)
@@ -479,7 +471,7 @@ class CausalRecorder:
             self._stream_node(node)
         if verdict == "link_dead":
             self.trigger("link_dead", f"key={key} attempts={attempts}")
-        elif attempts >= self.backoff_trigger:
+        elif attempts >= BACKOFF_TRIGGER_ATTEMPTS:
             self.trigger("rto_backoff", f"key={key} attempts={attempts}")
 
     def fault_observer(self):
@@ -567,7 +559,7 @@ class CausalRecorder:
 
     def on_fairness(self, fairness: float) -> None:
         """Finalize hook (sessions): a collapsed Jain index is an anomaly."""
-        if fairness < self.fairness_threshold:
+        if fairness < FAIRNESS_TRIGGER_THRESHOLD:
             self.trigger("fairness", f"jain={fairness:.3f}")
 
     def trigger(self, reason: str, detail: Any = None) -> None:
@@ -628,17 +620,11 @@ class CausalRecorder:
             }
         return {"type": "state", "endpoint": name, "state": state}
 
-    def flight_dir(self) -> pathlib.Path:
-        if self._flight_dir is not None:
-            return pathlib.Path(self._flight_dir)
-        from repro.obs.session import default_obs_dir  # cycle guard
-
-        return default_obs_dir() / "flight"
-
     def _open_flight(self) -> None:
+        from repro.obs.session import default_obs_dir  # cycle guard
         from repro.obs.sink import SCHEMA_VERSION, JsonlSink  # cycle guard
 
-        path = self.flight_dir() / f"{self.run_id}.jsonl"
+        path = default_obs_dir() / "flight" / f"{self.run_id}.jsonl"
         sink = JsonlSink(path)
         trigger = self.triggers[0]
         labels = dict(self.labels)
@@ -700,33 +686,28 @@ class CausalRecorder:
 
 
 class CausalTee:
-    """Recorder tee: causal graph first, then the wrapped recorder.
+    """Write-only recorder tee: causal graph first, then the inner recorder.
 
-    Duck-typed against :class:`~repro.trace.recorder.TraceRecorder`
-    exactly like :class:`~repro.obs.spans.ObsRecorder`, and chainable
-    with it (the obs tee wraps this tee when both layers are on).  The
-    host builds one per flow, stamping every record with the flow id.
+    It has the ``record`` signature of
+    :class:`~repro.trace.recorder.TraceRecorder`, exactly like
+    :class:`~repro.obs.spans.ObsRecorder`, and chains with it (the obs
+    tee wraps this tee when both layers are on).  The host builds one
+    per flow, stamping every record with the flow id.
 
     When the wrapped recorder is a :class:`NullRecorder` the forward call
     is skipped entirely — its ``record`` is a no-op, and this tee sits on
     the per-event hot path.
     """
 
-    __slots__ = ("_sim", "_causal", "_inner", "_flow", "_on_trace", "_fwd")
+    __slots__ = ("_sim", "_flow", "_on_trace", "_fwd")
 
     def __init__(
         self, sim, causal: CausalRecorder, inner, flow: Optional[int] = None
     ) -> None:
         self._sim = sim
-        self._causal = causal
-        self._inner = inner
         self._flow = flow
         self._on_trace = causal.on_trace
         self._fwd = None if isinstance(inner, NullRecorder) else inner.record
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     def record(self, actor, kind, seq=None, seq_hi=None, detail=None) -> None:
         self._on_trace(
@@ -735,28 +716,6 @@ class CausalTee:
         fwd = self._fwd
         if fwd is not None:
             fwd(actor, kind, seq, seq_hi, detail)
-
-    # -- read side: delegate to the wrapped recorder -----------------------
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        return self._inner.events
-
-    @property
-    def dropped_events(self) -> int:
-        return getattr(self._inner, "dropped_events", 0)
-
-    def filter(self, kind=None, actor=None, predicate=None):
-        return self._inner.filter(kind=kind, actor=actor, predicate=predicate)
-
-    def count(self, kind: EventKind) -> int:
-        return self._inner.count(kind)
-
-    def format(self, limit=None) -> str:
-        return self._inner.format(limit=limit)
-
-    def decision_trace(self) -> List[tuple]:
-        return self._inner.decision_trace()
 
 
 class CausalControllerHook:

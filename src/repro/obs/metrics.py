@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms — and a free null path.
+"""Metrics registry: counters, gauges and histograms.
 
 Design
 ------
@@ -13,16 +13,11 @@ Design
   in channel-delay units).  Fixed buckets make snapshots from different
   runs directly comparable — the property ``blockack obs diff`` relies
   on.
-* **Registries are scoped.**  :data:`DEFAULT_REGISTRY` is the
-  process-global convenience instance; anything that must not share
-  state across runs (parallel sweep workers, repeated transfers in one
-  process) creates its own :class:`MetricsRegistry`.
-* **The null path is allocation-free.**  :data:`NULL_REGISTRY` returns
-  the same no-op singleton for every declaration; its methods do nothing
-  and ``labels(...)`` returns the singleton itself.  Instrumented code
-  therefore needs no ``if obs:`` guards, and benchmarks with
-  observability off stay within noise of the uninstrumented baseline
-  (tracked in ``BENCH_<mode>.json`` — see ``blockack perf``).
+* **Registries are scoped.**  Each observed run owns its
+  :class:`MetricsRegistry`, so parallel sweep workers and repeated
+  transfers in one process never share series.  A run with telemetry
+  off builds no registry at all: the host wires no instruments, so
+  there is no null path to pay for.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-safe dicts
 with a stable shape; :class:`TextExposition` renders a snapshot in the
@@ -40,13 +35,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
     "TextExposition",
-    "DEFAULT_REGISTRY",
-    "NULL_REGISTRY",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "LATENCY_BUCKETS",
 ]
 
@@ -270,37 +259,6 @@ class Histogram(_Instrument):
         return child.sum if child is not None else 0.0
 
 
-class _NullChild:
-    """One no-op object that absorbs every instrument method."""
-
-    __slots__ = ()
-
-    def labels(self, **labels):  # noqa: ARG002 - signature parity
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    value = 0.0
-    count = 0
-    sum = 0.0
-
-
-#: No-op singletons; NULL_REGISTRY hands these out for every declaration.
-NULL_COUNTER = _NullChild()
-NULL_GAUGE = _NullChild()
-NULL_HISTOGRAM = _NullChild()
-
-
 class MetricsRegistry:
     """A scoped namespace of instruments.
 
@@ -308,8 +266,6 @@ class MetricsRegistry:
     same name twice returns the existing instrument (and raises if the
     kind conflicts), so independent subsystems can share series.
     """
-
-    null = False
 
     def __init__(self, name: str = "run") -> None:
         self.name = name
@@ -395,48 +351,6 @@ class MetricsRegistry:
     def render_text(self) -> str:
         """This registry in the Prometheus text exposition format."""
         return TextExposition().render(self.snapshot())
-
-
-class NullRegistry:
-    """Registry whose instruments are shared no-op singletons.
-
-    The null path of the telemetry layer: every declaration returns the
-    same `_NullChild` singleton, so instrumented code performs zero
-    allocations and zero bookkeeping when observability is off.
-    """
-
-    null = True
-    name = "null"
-
-    def counter(self, name, help="", labelnames=()):  # noqa: ARG002
-        return NULL_COUNTER
-
-    def gauge(self, name, help="", labelnames=()):  # noqa: ARG002
-        return NULL_GAUGE
-
-    def histogram(self, name, help="", labelnames=(), buckets=None):  # noqa: ARG002
-        return NULL_HISTOGRAM
-
-    def get(self, name):  # noqa: ARG002
-        return None
-
-    def __iter__(self):
-        return iter(())
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def render_text(self) -> str:
-        return ""
-
-
-#: Process-global convenience registry (tests and ad-hoc scripts).
-DEFAULT_REGISTRY = MetricsRegistry(name="default")
-
-#: The allocation-free null path.  Module-level singleton: identity
-#: comparison (`registry is NULL_REGISTRY`) is the supported "is
-#: observability off?" test.
-NULL_REGISTRY = NullRegistry()
 
 
 class TextExposition:

@@ -12,7 +12,7 @@ One run produces one ``results/obs/<run_id>.jsonl`` file.  Line shapes
 * ``{"type": "snapshot", "metrics": {...}}``
   — exactly one, last line: the final metrics-registry snapshot.
 
-Schema v2 (this PR) adds four shapes used by the causal layer
+Schema v2 adds four shapes used by the causal layer
 (:mod:`repro.obs.causal`) and its flight dumps under
 ``results/obs/flight/``; v1 files remain valid:
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -120,29 +120,49 @@ class JsonlSink:
 
 
 class RunDump:
-    """One exported run, loaded back into structured form."""
+    """One exported run or flight dump, loaded back into structured form.
+
+    Every record type has its list: ``events``, ``spans``, ``nodes``
+    (causal-graph nodes), ``triggers``, ``attributions`` and ``states``
+    (endpoint snapshots).  ``blockack obs`` and ``blockack analyze``
+    both read files through this one class.
+    """
 
     def __init__(self, path: pathlib.Path, records: List[dict]) -> None:
         self.path = path
         self.records = records
         self.meta: dict = {}
+        self.snapshot: dict = {}
         self.events: List[dict] = []
         self.spans: List[dict] = []
-        self.snapshot: dict = {}
+        self.nodes: List[dict] = []
+        self.triggers: List[dict] = []
+        self.attributions: List[dict] = []
+        self.states: List[dict] = []
+        lists = {
+            "event": self.events,
+            "span": self.spans,
+            "causal": self.nodes,
+            "trigger": self.triggers,
+            "attribution": self.attributions,
+            "state": self.states,
+        }
         for record in records:
             kind = record.get("type")
             if kind == "meta":
                 self.meta = record
-            elif kind == "event":
-                self.events.append(record)
-            elif kind == "span":
-                self.spans.append(record)
             elif kind == "snapshot":
                 self.snapshot = record.get("metrics", {})
+            elif kind in lists:
+                lists[kind].append(record)
 
     @property
     def run_id(self) -> str:
         return self.meta.get("run_id", self.path.stem)
+
+    @property
+    def labels(self) -> dict:
+        return self.meta.get("labels") or {}
 
 
 def read_records(path) -> List[dict]:
@@ -225,17 +245,10 @@ def diff_snapshots(
 # ----------------------------------------------------------------------
 
 
-def _metric_value(snapshot: dict, name: str) -> Optional[float]:
-    metric = snapshot.get(name)
-    if not metric or not metric.get("samples"):
-        return None
-    return metric["samples"][0].get("value")
-
-
 def summarize_run(dump: RunDump, limit: int = 12) -> str:
     """Render one exported run as a human-readable report."""
     lines = [f"run {dump.run_id}  ({dump.path})"]
-    labels = dump.meta.get("labels") or {}
+    labels = dump.labels
     if labels:
         rendered = ", ".join(f"{k}={v}" for k, v in sorted(labels.items()))
         lines.append(f"  labels: {rendered}")

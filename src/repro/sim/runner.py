@@ -154,7 +154,7 @@ def run_transfer(
     monitor_invariants: bool = False,
     record_channel_drops: bool = False,
     fault_plan: Optional[Any] = None,
-    obs: Any = False,
+    obs: bool = False,
     obs_run_id: Optional[str] = None,
     obs_labels: Optional[dict] = None,
     causal: bool = False,
@@ -186,16 +186,15 @@ def run_transfer(
     ``diverged``), repair counts, and time-to-reconvergence under
     ``result.stabilization``.
 
-    ``obs`` turns on the unified telemetry layer (:mod:`repro.obs`):
-    pass True for a fresh per-run :class:`~repro.obs.session.Observability`
-    (optionally shaped by ``obs_run_id`` / ``obs_labels``), or an
-    existing session to reuse its registry.  The session instruments the
-    engine, both channels, the endpoints (per-seq lifecycle spans via the
-    trace-record tee), and the adaptive controller; ``result.latencies``
-    then comes from the span tracker, and the session is returned as
-    ``result.obs`` for snapshotting/export.  With ``obs`` falsy (the
-    default) none of this code runs and no telemetry objects are
-    allocated.
+    ``obs=True`` turns on the unified telemetry layer (:mod:`repro.obs`):
+    a fresh per-run :class:`~repro.obs.session.Observability` (shaped by
+    ``obs_run_id`` / ``obs_labels``) instruments the engine, both
+    channels, the endpoints (per-seq lifecycle spans via the
+    trace-record tee), and the adaptive controller, and is returned as
+    ``result.obs`` for snapshotting/export.  ``result.latencies`` is the
+    host's own submit/deliver bookkeeping either way, so telemetry never
+    changes it.  With ``obs`` off (the default) none of this code runs
+    and no telemetry objects are allocated.
 
     ``causal`` turns on the causal diagnosis layer
     (:mod:`repro.obs.causal`): every protocol-relevant event becomes a

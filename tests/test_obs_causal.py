@@ -14,7 +14,6 @@ from repro.channel.delay import UniformDelay
 from repro.channel.impairments import BernoulliLoss, BrownoutLoss
 from repro.obs.analyze import (
     find_stalls,
-    load_analysis,
     perfetto_trace,
     render_report,
     root_causes,
@@ -157,8 +156,8 @@ class TestFlightRecorder:
     def test_ring_is_bounded(self):
         result = lossy_transfer(total=300)
         causal = result.causal
-        assert len(causal.ring) == causal.ring_capacity
-        assert causal.events_recorded > causal.ring_capacity
+        assert len(causal.ring) == causal.ring.maxlen
+        assert causal.events_recorded > causal.ring.maxlen
 
     def test_dead_link_escalates_backoff_to_link_dead(self, obs_dir):
         result = dead_link_transfer(obs_dir)
@@ -411,7 +410,7 @@ class TestSpanLifecyclesUnderFaults:
 class TestAnalyze:
     def test_report_and_perfetto_from_dead_link_dump(self, obs_dir, tmp_path):
         result = dead_link_transfer(obs_dir)
-        analysis = load_analysis(result.flight_path)
+        analysis = load_run(result.flight_path)
         assert analysis.run_id == "transfer"
         assert len(analysis.triggers) == len(result.causal.triggers)
 
@@ -439,7 +438,7 @@ class TestAnalyze:
 
     def test_analysis_reads_attributions_back(self, obs_dir):
         result = dead_link_transfer(obs_dir)
-        analysis = load_analysis(result.flight_path)
+        analysis = load_run(result.flight_path)
         assert analysis.attributions
         for record in analysis.attributions:
             parts = (

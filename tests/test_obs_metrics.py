@@ -6,9 +6,6 @@ import pytest
 
 from repro.obs.metrics import (
     COUNT_BUCKETS,
-    DEFAULT_REGISTRY,
-    NULL_COUNTER,
-    NULL_REGISTRY,
     MetricsRegistry,
     TextExposition,
 )
@@ -107,9 +104,6 @@ class TestRegistry:
         a.counter("c").inc()
         assert b.counter("c").value == 0.0
 
-    def test_default_registry_exists(self):
-        assert DEFAULT_REGISTRY.null is False
-
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("c", help="a counter").inc()
@@ -119,25 +113,6 @@ class TestRegistry:
         assert snap["c"]["samples"] == [{"labels": {}, "value": 1.0}]
         hist = snap["h"]["samples"][0]
         assert len(hist["counts"]) == len(hist["buckets"]) + 1
-
-
-class TestNullRegistry:
-    def test_every_declaration_is_the_shared_singleton(self):
-        assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.counter("b")
-        assert NULL_REGISTRY.counter("a") is NULL_COUNTER
-
-    def test_null_instruments_absorb_everything(self):
-        counter = NULL_REGISTRY.counter("c", labelnames=("x",))
-        counter.labels(x="a").inc()
-        counter.inc(5)
-        NULL_REGISTRY.histogram("h").observe(1.0)
-        NULL_REGISTRY.gauge("g").set(2.0)
-        assert counter.value == 0.0
-        assert NULL_REGISTRY.snapshot() == {}
-        assert NULL_REGISTRY.render_text() == ""
-
-    def test_null_flag_for_identity_checks(self):
-        assert NULL_REGISTRY.null is True
 
 
 class TestTextExposition:
