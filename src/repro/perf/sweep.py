@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.perf.cache import ResultCache, config_digest, default_cache_root, describe
-from repro.sim.runner import LinkSpec, TransferResult, run_transfer
-from repro.workloads.sources import GreedySource
+from repro.sim.runner import LinkSpec, TransferResult
 
 __all__ = [
     "RunConfig",
@@ -240,12 +239,19 @@ class MonitorSummary:
 def execute_config(config: RunConfig) -> TransferResult:
     """Build and run one configured transfer (in whatever process).
 
-    ``flows > 1`` routes through the multi-flow session host
-    (:func:`repro.sim.host.run_flows`): ``flows`` identical greedy flows
-    of the protocol share the two links, and the flattened result
-    carries per-flow rows plus the Jain fairness index.
+    Every cell is one :class:`~repro.sim.host.SessionHost` session of
+    ``flows`` greedy flows of the protocol (``flow_windows`` makes them
+    heterogeneous).  A cell of several flows, or behind an arbiter,
+    shares the two links, and its flattened result carries per-flow rows
+    plus the Jain fairness index.  A one-flow cell with neither is
+    exactly :func:`~repro.sim.runner.run_transfer` and carries neither.
     """
-    from repro.protocols.registry import make_pair  # local: avoid cycles
+    from repro.sim.host import (  # local: avoid cycles
+        SessionHost,
+        mixed_flows,
+        session_to_transfer,
+        uniform_flows,
+    )
 
     obs_labels = None
     if config.obs or config.causal:
@@ -284,75 +290,49 @@ def execute_config(config: RunConfig) -> TransferResult:
             f"flows={config.flows}"
         )
 
-    if config.flows > 1 or arbiter is not None or config.flow_windows is not None:
-        from repro.sim.host import (  # local: avoid cycles
-            SessionHost,
-            mixed_flows,
-            session_to_transfer,
-            uniform_flows,
+    if config.flow_windows is not None:
+        specs = mixed_flows(
+            config.protocol,
+            config.flow_windows,
+            config.total,
+            weights=config.flow_weights,
+            **config.protocol_kwargs,
         )
-
-        if config.flow_windows is not None:
-            specs = mixed_flows(
-                config.protocol,
-                config.flow_windows,
-                config.total,
-                weights=config.flow_weights,
-                **config.protocol_kwargs,
-            )
-        else:
-            specs = uniform_flows(
-                config.protocol,
-                config.flows,
-                config.window,
-                config.total,
-                **config.protocol_kwargs,
-            )
-            if config.flow_weights is not None:
-                for spec, weight in zip(specs, config.flow_weights):
-                    spec.weight = weight
-
-        # the host rejects a fault plan on a muxed (multi-flow) session
-        session = SessionHost(
-            specs,
-            forward=config.forward,
-            reverse=config.reverse,
-            seed=config.seed,
-            max_time=config.max_time,
-            max_events=config.max_events,
-            monitor_invariants=config.monitor_invariants,
-            fault_plan=plan,
-            obs=config.obs,
-            obs_run_id=(
-                config.run_id() if (config.obs or config.causal) else None
-            ),
-            obs_labels=obs_labels,
-            causal=config.causal,
-            arbiter=arbiter,
-        ).run()
-        result = session_to_transfer(session)
     else:
-        sender, receiver = make_pair(
-            config.protocol, window=config.window, **config.protocol_kwargs
+        specs = uniform_flows(
+            config.protocol,
+            config.flows,
+            config.window,
+            config.total,
+            **config.protocol_kwargs,
         )
-        result = run_transfer(
-            sender,
-            receiver,
-            GreedySource(config.total),
-            forward=config.forward,
-            reverse=config.reverse,
-            seed=config.seed,
-            max_time=config.max_time,
-            max_events=config.max_events,
-            monitor_invariants=config.monitor_invariants,
-            fault_plan=plan,
-            obs=config.obs,
-            obs_run_id=(
-                config.run_id() if (config.obs or config.causal) else None
-            ),
-            obs_labels=obs_labels,
-            causal=config.causal,
-        )
+        if config.flow_weights is not None:
+            for spec, weight in zip(specs, config.flow_weights):
+                spec.weight = weight
+
+    # the host rejects a fault plan on a muxed (multi-flow) session
+    session = SessionHost(
+        specs,
+        forward=config.forward,
+        reverse=config.reverse,
+        seed=config.seed,
+        max_time=config.max_time,
+        max_events=config.max_events,
+        monitor_invariants=config.monitor_invariants,
+        fault_plan=plan,
+        obs=config.obs,
+        obs_run_id=(
+            config.run_id() if (config.obs or config.causal) else None
+        ),
+        obs_labels=obs_labels,
+        causal=config.causal,
+        arbiter=arbiter,
+    ).run()
+    result = session_to_transfer(session)
+    if config.flows == 1 and arbiter is None and config.flow_windows is None:
+        # like run_transfer: a one-pair cell carries no per-flow rows or
+        # fairness index, so its payload matches existing cache entries
+        result.per_flow, result.fairness = [], None
     if result.obs is not None:
         # exported eagerly, in the worker process, under a deterministic
         # name: the file outlives the process and its path rides the
