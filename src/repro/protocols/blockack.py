@@ -83,7 +83,7 @@ receiver) + (max reverse transit); see :func:`safe_timeout_period`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.core.messages import BlockAck, DataMessage
 from repro.core.numbering import Numbering, UnboundedNumbering
@@ -193,6 +193,8 @@ class BlockAckSender(WindowedSender):
         self.hi_acked = -1  # highest sequence number seen in any valid ack
         self._parked: Set[int] = set()  # expired but not yet eligible
         self._covered_at: Dict[int, float] = {}  # seq -> time hi_acked passed it
+        # coverage cursor: every outstanding seq below it has a stamp
+        self._covered_below = 0
         self._poll: Optional[Timer] = None  # oracle mode
         # oracle hooks, wired by enable_oracle()
         self._oracle_receiver: Optional["BlockAckReceiver"] = None
@@ -290,8 +292,7 @@ class BlockAckSender(WindowedSender):
         if self.timeout_mode == "oracle" and self.window.all_acknowledged:
             self._poll.stop()
         if self.timeout_mode == "per_message_safe":
-            self._note_coverage()
-            self._release_parked()
+            self._release_parked(self._note_coverage())
         if outcome.advanced:
             self._window_open_event(self.window.na)
 
@@ -319,6 +320,9 @@ class BlockAckSender(WindowedSender):
 
     def _stabilize_extra(self) -> list:
         """Repair block-ack bookkeeping the core does not know about."""
+        # the repairs may have moved na or the ackd record under the
+        # coverage cursor: the next ack rescans the whole window
+        self._covered_below = 0
         repairs = []
         if self.hi_acked >= self.window.ns:
             repairs.append(
@@ -426,25 +430,57 @@ class BlockAckSender(WindowedSender):
             and self.sim.now >= covered + self.reverse_lifetime
         )
 
-    def _note_coverage(self) -> None:
-        """Record when ``hi_acked`` first passed each outstanding message."""
-        if self.hi_acked < 0:
-            return
-        for seq in self.window.outstanding():
-            if seq < self.hi_acked and seq not in self._covered_at:
-                self._covered_at[seq] = self.sim.now
+    def _note_coverage(self) -> List[int]:
+        """Record when ``hi_acked`` first passed each outstanding message.
 
-    def _release_parked(self) -> None:
+        Every outstanding seq below the coverage cursor ``_covered_below``
+        already carries a stamp, so only ``[max(cursor, na), hi_acked)``
+        is visited and the cursor then moves to ``hi_acked``: each seq is
+        visited once per transfer, not once per ack.  ``crash`` and
+        ``_stabilize_extra`` reset the cursor, so the first call after
+        them rescans the whole window.  Returns the seqs stamped now, in
+        ascending order.
+        """
+        window = self.window
+        lo = max(self._covered_below, window.na)
+        hi = min(self.hi_acked, window.ns)
+        if hi <= lo:
+            return []
+        self._covered_below = hi
+        covered = self._covered_at
+        is_acked = window.is_acked
+        stamped = [
+            seq for seq in range(lo, hi)
+            if seq not in covered and not is_acked(seq)
+        ]
+        now = self.sim.now
+        for seq in stamped:
+            covered[seq] = now
+        return stamped
+
+    def _release_parked(self, stamped: List[int]) -> None:
         """Retransmit or schedule every parked message that can now move.
 
-        ``na`` is retransmitted immediately (always safe).  Newly covered
-        messages get a timer for the reverse-lifetime drain wait; the
-        expiry path re-checks eligibility and retransmits.
+        A message parks because it had no coverage stamp when its timer
+        fired, and holds no running timer while parked, so on an ack only
+        ``na`` and the seqs ``stamped`` by this ack can move; they are
+        visited in ascending order.  The ack loop has already unparked
+        every newly acknowledged seq.  ``na`` is retransmitted
+        immediately (always safe).  Newly covered messages get a timer
+        for the reverse-lifetime drain wait; the expiry path re-checks
+        eligibility and retransmits.
         """
-        self._parked = {s for s in self._parked if not self.window.is_acked(s)}
-        for seq in sorted(self._parked):
+        parked = self._parked
+        if not parked:
+            return
+        na = self.window.na
+        if not stamped or stamped[0] != na:
+            stamped = [na, *stamped]
+        for seq in stamped:
+            if seq not in parked:
+                continue
             if self._eligible(seq):
-                self._parked.discard(seq)
+                parked.discard(seq)
                 self.stats.timeouts_fired += 1
                 self.trace.record(
                     self.actor_name, EventKind.TIMEOUT, seq=seq, detail="released"
@@ -454,7 +490,7 @@ class BlockAckSender(WindowedSender):
                 remaining = (
                     self._covered_at[seq] + self.reverse_lifetime - self.sim.now
                 )
-                self._parked.discard(seq)  # the timer owns it now
+                parked.discard(seq)  # the timer owns it now
                 self._timers.start(seq, max(remaining, 0.0) + 1e-9)
 
     # ------------------------------------------------------------------
@@ -475,6 +511,7 @@ class BlockAckSender(WindowedSender):
             self._poll.stop()
         self._parked.clear()
         self._covered_at.clear()
+        self._covered_below = 0
         if self._retx is not None:
             self._retx.reset_volatile()
 

@@ -491,24 +491,20 @@ class SessionHost:
             self._wire_flow(flow, sim, forward, reverse, recorder,
                             obs_session, causal_rec)
 
-        if len(self.flows) == 1:
-            # the drain predicate runs once per engine event: one flow
-            # reads its own locals rather than going through the harness
-            (flow,) = self.flows
-            source, sender = flow.spec.source, flow.spec.sender
-            delivered = flow.delivered_payloads
+        # The drain predicate runs once per engine event, so it re-checks
+        # only the last flow not yet seen finished and pops it once it
+        # is: amortized O(1) per event for any number of flows.  A
+        # finished flow stays finished in a muxed session (fault plans,
+        # the only thing that could rewind it, are rejected there), and
+        # a one-flow drain stops at its first finished check.
+        pending = list(self.flows)
 
-            def unfinished() -> bool:
-                return not (
-                    source.exhausted
-                    and sender.all_acknowledged
-                    and len(delivered) >= source.total
-                )
-
-        else:
-
-            def unfinished() -> bool:
-                return not all(flow.finished for flow in self.flows)
+        def unfinished() -> bool:
+            while pending:
+                if not pending[-1].finished:
+                    return True
+                pending.pop()
+            return False
 
         try:
             for flow in self.flows:
