@@ -94,7 +94,9 @@ class TimerBank:
 
     The sophisticated-timeout sender (paper Section IV) keeps one
     retransmission timer per outstanding sequence number; a ``TimerBank``
-    maps keys (sequence numbers) to timers and creates them on demand.
+    maps keys (sequence numbers) to timers, creates them on demand and
+    forgets them on :meth:`stop`, so it holds only keys started since
+    they were last stopped.
     """
 
     def __init__(
@@ -120,15 +122,16 @@ class TimerBank:
         timer.start(period)
 
     def stop(self, key: Any) -> None:
-        """Disarm the timer for ``key``.  Safe if the key is unknown."""
-        timer = self._timers.get(key)
+        """Disarm and forget the timer for ``key``.  Safe if the key is unknown."""
+        timer = self._timers.pop(key, None)
         if timer is not None:
             timer.stop()
 
     def stop_all(self) -> None:
-        """Disarm every timer in the bank."""
+        """Disarm and forget every timer in the bank."""
         for timer in self._timers.values():
             timer.stop()
+        self._timers.clear()
 
     def running(self, key: Any) -> bool:
         """True if the timer for ``key`` is armed."""
@@ -138,12 +141,6 @@ class TimerBank:
     def active_keys(self) -> list:
         """Keys whose timers are currently armed."""
         return [key for key, timer in self._timers.items() if timer.running]
-
-    def prune(self) -> None:
-        """Drop idle timers to keep the bank small on long runs."""
-        self._timers = {
-            key: timer for key, timer in self._timers.items() if timer.running
-        }
 
 
 class AdaptiveTimer(Timer):

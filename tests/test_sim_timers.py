@@ -1,6 +1,11 @@
 """Unit tests for restartable timers and timer banks."""
 
+from repro.channel.delay import UniformDelay
+from repro.channel.impairments import BernoulliLoss
+from repro.protocols.registry import make_pair
+from repro.sim.runner import LinkSpec, run_transfer
 from repro.sim.timers import AdaptiveTimer, AdaptiveTimerBank, Timer, TimerBank
+from repro.workloads.sources import GreedySource
 
 
 class TestTimer:
@@ -126,14 +131,33 @@ class TestTimerBank:
         bank.stop("a")
         assert bank.active_keys() == ["b"]
 
-    def test_prune_drops_idle_timers(self, sim):
-        bank = TimerBank(sim, lambda k: None)
+    def test_stop_and_stop_all_forget_keys(self, sim):
+        fired = []
+        bank = TimerBank(sim, fired.append)
         bank.start("a", 1.0)
         sim.run()
         bank.start("b", 5.0)
-        bank.prune()
-        assert bank.active_keys() == ["b"]
-        assert "a" not in bank._timers
+        bank.stop("a")
+        assert list(bank._timers) == ["b"]
+        bank.start("c", 5.0)
+        bank.stop_all()
+        assert bank._timers == {}
+        sim.run()
+        assert fired == ["a"]
+
+    def test_bank_is_empty_after_a_completed_transfer(self):
+        # one timer per outstanding message, not per message ever sent
+        sender, receiver = make_pair("blockack", window=8)
+        link = lambda: LinkSpec(
+            delay=UniformDelay(0.5, 1.5), loss=BernoulliLoss(0.05)
+        )
+        result = run_transfer(
+            sender, receiver, GreedySource(3000),
+            forward=link(), reverse=link(), seed=1,
+        )
+        assert result.completed and result.in_order
+        assert result.sender_stats["retransmissions"] > 0
+        assert sender._timers._timers == {}
 
 
 class TestStaleArming:
