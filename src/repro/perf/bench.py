@@ -203,12 +203,45 @@ def _multiflow_session(total_per_flow: int, flows: int = 8) -> int:
     return session.delivered
 
 
+def _scaling_cell(window: int, total: int) -> int:
+    """One ``blockack`` cell of the window-scaling grid; returns deliveries.
+
+    A greedy transfer at 1% loss each way over ``UniformDelay(0.5, 1.5)``
+    links aged at 3 tu, with the derived (safe) timeout: lost messages
+    park, so the per-ack cost of the parked-release path shows as the
+    window grows.
+    """
+    from repro.channel.delay import UniformDelay
+    from repro.channel.impairments import BernoulliLoss
+    from repro.protocols.registry import make_pair
+    from repro.sim.runner import LinkSpec, run_transfer
+    from repro.workloads.sources import GreedySource
+
+    sender, receiver = make_pair("blockack", window=window)
+    link = lambda: LinkSpec(
+        delay=UniformDelay(0.5, 1.5), loss=BernoulliLoss(0.01), max_lifetime=3.0
+    )
+    result = run_transfer(
+        sender,
+        receiver,
+        GreedySource(total),
+        forward=link(),
+        reverse=link(),
+        seed=1,
+        max_time=1_000_000.0,
+    )
+    assert result.completed and result.in_order
+    return result.delivered
+
+
 def run_microbenchmarks(scale: int = 1, repeats: int = 3) -> Dict[str, float]:
     """Measure the hot paths; returns ``{metric: rate}`` (higher=better).
 
     ``scale`` multiplies every workload size (1 is the quick/CI size).
     ``engine_fanout_drain_*`` isolates the fan-out drain phase
-    (scheduling untimed).
+    (scheduling untimed).  ``scaling_blockack_w*`` are the w=64 and
+    w=4096 ``blockack`` cells of the window-scaling grid (ROADMAP item
+    6); their ratio is the per-message cost that grows with the window.
     """
     n_events = 100_000 * scale
     n_msgs = 20_000 * scale
@@ -235,6 +268,12 @@ def run_microbenchmarks(scale: int = 1, repeats: int = 3) -> Dict[str, float]:
     # the flow-multiplexing tax
     metrics["multiflow_session_msgs_per_sec"] = _best_rate(
         lambda: _multiflow_session(max(1, n_transfer // 8), flows=8), repeats
+    )
+    metrics["scaling_blockack_w64_msgs_per_sec"] = _best_rate(
+        lambda: _scaling_cell(64, 6_000 * scale), repeats
+    )
+    metrics["scaling_blockack_w4096_msgs_per_sec"] = _best_rate(
+        lambda: _scaling_cell(4096, 32_768 * scale), repeats
     )
     return metrics
 

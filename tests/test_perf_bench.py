@@ -8,6 +8,7 @@ from repro.perf.bench import (
     _channel_transit,
     _engine_chain,
     _engine_fanout,
+    _scaling_cell,
     _transfer,
     compare_bench,
     main,
@@ -113,6 +114,9 @@ class TestWorkloads:
         assert delivered_default == delivered_fast == 60
         # virtual-time throughput is deterministic and instrument-invariant
         assert throughput_default == throughput_fast
+
+    def test_scaling_cell_delivers_everything(self):
+        assert _scaling_cell(16, 120) == 120
 
 
 def test_obs_overhead_measures_obs_and_causal_together():
