@@ -160,6 +160,65 @@ class TestTimerBank:
         assert sender._timers._timers == {}
 
 
+class TestBankTimerNames:
+    """A bank timer's name is ``"<bank>[<key!r>]"`` wherever it is read.
+
+    Timer observers read it on arm, cancel and fire; the causal recorder
+    makes it the actor of timer nodes, flight dumps and Perfetto tracks.
+    """
+
+    @staticmethod
+    def observe(sim):
+        seen = []
+        sim.timer_observer = lambda op, timer: seen.append((op, timer.name))
+        return seen
+
+    def test_timer_bank_names_on_arm_cancel_and_fire(self, sim):
+        seen = self.observe(sim)
+        bank = TimerBank(sim, lambda key: None, name="retx")
+        bank.start(4, 1.0)
+        bank.start("a", 2.0)
+        bank.start((1, 2), 3.0)
+        bank.start(4, 1.5)  # re-arm: cancels the first arming
+        bank.stop("a")
+        sim.run()
+        assert seen == [
+            ("arm", "retx[4]"),
+            ("arm", "retx['a']"),
+            ("arm", "retx[(1, 2)]"),
+            ("cancel", "retx[4]"),
+            ("arm", "retx[4]"),
+            ("cancel", "retx['a']"),
+            ("fire", "retx[4]"),
+            ("fire", "retx[(1, 2)]"),
+        ]
+
+    def test_adaptive_timer_bank_names_on_arm_cancel_and_fire(self, sim):
+        seen = self.observe(sim)
+        bank = AdaptiveTimerBank(
+            sim, lambda key: None, period_fn=lambda key: 2.0, name="seq"
+        )
+        bank.start(0)
+        bank.start("x")
+        bank.stop(0)
+        sim.run()
+        bank.start(0)
+        bank.stop_all()
+        assert seen == [
+            ("arm", "seq[0]"),
+            ("arm", "seq['x']"),
+            ("cancel", "seq[0]"),
+            ("fire", "seq['x']"),
+            ("arm", "seq[0]"),
+            ("cancel", "seq[0]"),
+        ]
+
+    def test_default_bank_name(self, sim):
+        seen = self.observe(sim)
+        TimerBank(sim, lambda key: None).start(7, 1.0)
+        assert seen == [("arm", "timerbank[7]")]
+
+
 class TestStaleArming:
     """A superseded arming must never fire — the backoff-critical property.
 
