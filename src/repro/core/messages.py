@@ -12,7 +12,16 @@ never inspects it.  Acknowledgments come in two shapes:
 
 All message types are frozen dataclasses: channel code treats messages as
 immutable values, so a retransmission is a *new* message object and the
-in-flight multiset semantics of the paper carry over unchanged.
+in-flight multiset semantics of the paper carry over unchanged.  The
+dataclass machinery supplies equality, hashing, ``repr``, ``fields`` and
+``replace``, and assignment raises ``FrozenInstanceError``.
+
+Every frame a transfer sends builds one of these values, so each type
+has a hand-written ``__init__`` with the generated one's parameters that
+fills ``self.__dict__`` directly; the generated frozen ``__init__`` pays
+one ``object.__setattr__`` call per field.  They are deliberately not
+``NamedTuple``s: tuple equality would make ``BlockAck(1, 2)`` equal to
+``(1, 2, False)`` and to any other wire type with the same fields.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DataMessage:
     """A data message.
 
@@ -54,12 +63,18 @@ class DataMessage:
     payload: Any = None
     attempt: int = 0
 
+    def __init__(self, seq: int, payload: Any = None, attempt: int = 0) -> None:
+        fields = self.__dict__
+        fields["seq"] = seq
+        fields["payload"] = payload
+        fields["attempt"] = attempt
+
     def __str__(self) -> str:
         suffix = f"#{self.attempt}" if self.attempt else ""
         return f"DATA({self.seq}){suffix}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlockAck:
     """The paper's block acknowledgment: acks sequence numbers ``lo..hi``.
 
@@ -80,6 +95,12 @@ class BlockAck:
     hi: int
     urgent: bool = field(default=False, compare=False)
 
+    def __init__(self, lo: int, hi: int, urgent: bool = False) -> None:
+        fields = self.__dict__
+        fields["lo"] = lo
+        fields["hi"] = hi
+        fields["urgent"] = urgent
+
     @property
     def is_singleton(self) -> bool:
         """True if this ack covers exactly one sequence number."""
@@ -93,7 +114,7 @@ class BlockAck:
         return f"ACK({self.lo},{self.hi})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CumulativeAck:
     """Traditional cumulative acknowledgment: everything ``<= seq``.
 
@@ -102,11 +123,14 @@ class CumulativeAck:
 
     seq: int
 
+    def __init__(self, seq: int) -> None:
+        self.__dict__["seq"] = seq
+
     def __str__(self) -> str:
         return f"CACK({self.seq})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FlowEnvelope:
     """A flow-tagged wrapper around one protocol message on a shared link.
 
@@ -132,6 +156,12 @@ class FlowEnvelope:
     flow: int
     fseq: int
     message: Any
+
+    def __init__(self, flow: int, fseq: int, message: Any) -> None:
+        fields = self.__dict__
+        fields["flow"] = flow
+        fields["fseq"] = fseq
+        fields["message"] = message
 
     def __str__(self) -> str:
         return f"f{self.flow}:{self.message}"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.core.seqnum import SequenceDomain, minimum_domain_size
+from repro.core.seqnum import SequenceDomain, reconstruct
 
 __all__ = ["Numbering", "UnboundedNumbering", "ModularNumbering"]
 
@@ -113,14 +113,17 @@ class ModularNumbering(Numbering):
             )
         self.domain = SequenceDomain(n)
 
+    # the codec runs on every frame: each method makes at most the one
+    # call to the paper's ``f``, which keeps its range checks
     def encode(self, seq: int) -> int:
-        return self.domain.wrap(seq)
+        return seq % self.domain.n
 
     def decode_at_sender(self, wire: int, na: int) -> int:
-        return self.domain.reconstruct(na, wire)
+        return reconstruct(na, wire, self.domain.n)
 
     def decode_at_receiver(self, wire: int, nr: int, w: int) -> int:
-        return self.domain.reconstruct(max(0, nr - self.span), wire)
+        reference = nr - self.span
+        return reconstruct(reference if reference > 0 else 0, wire, self.domain.n)
 
     @property
     def domain_size(self) -> int:

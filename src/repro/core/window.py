@@ -21,36 +21,52 @@ equivalence-tested against this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 __all__ = ["SenderWindow", "ReceiverWindow", "AckOutcome", "AcceptOutcome"]
 
 
-@dataclass
 class AckOutcome:
-    """Result of applying one block acknowledgment at the sender."""
+    """Result of applying one block acknowledgment at the sender.
 
-    newly_acked: list[int] = field(default_factory=list)
-    na_before: int = 0
-    na_after: int = 0
-    stale: bool = False  # every covered number was already acknowledged
+    ``newly_acked`` is a fresh list per acknowledgment, which the caller
+    may keep; ``advanced`` is how far ``na`` moved; ``stale`` means every
+    covered number was already acknowledged.
+    """
 
-    @property
-    def advanced(self) -> int:
-        """How far ``na`` moved."""
-        return self.na_after - self.na_before
+    __slots__ = ("newly_acked", "advanced", "stale")
+
+    def __init__(self, newly_acked: list[int], advanced: int) -> None:
+        self.newly_acked = newly_acked
+        self.advanced = advanced
+        self.stale = not newly_acked and not advanced
+
+    def __repr__(self) -> str:
+        return (
+            f"AckOutcome(newly_acked={self.newly_acked}, "
+            f"advanced={self.advanced}, stale={self.stale})"
+        )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AcceptOutcome:
-    """Result of handling one data message at the receiver."""
+    """Result of handling one data message at the receiver.
+
+    :meth:`ReceiverWindow.accept` returns one of three shared constants,
+    so an outcome is frozen.
+    """
 
     duplicate: bool = False  # message was below nr (already accepted)
     recorded: bool = False  # message newly recorded in rcvd
     redundant: bool = False  # in-window but already recorded (protocol
     # invariant says this cannot happen with safe timeouts; counted so
     # the E12 ablation can observe invariant decay)
+
+
+_DUPLICATE = AcceptOutcome(duplicate=True)
+_RECORDED = AcceptOutcome(recorded=True)
+_REDUNDANT = AcceptOutcome(redundant=True)
 
 
 class SenderWindow:
@@ -163,17 +179,18 @@ class SenderWindow:
             raise ValueError(
                 f"ack ({lo}, {hi}) covers never-sent numbers (ns={self.ns})"
             )
-        outcome = AckOutcome(na_before=self.na, na_after=self.na)
-        for seq in range(max(lo, self.na), hi + 1):
-            if seq not in self._ackd:
-                self._ackd.add(seq)
-                outcome.newly_acked.append(seq)
-        while self.na in self._ackd:
-            self._ackd.discard(self.na)
-            self.na += 1
-        outcome.na_after = self.na
-        outcome.stale = not outcome.newly_acked and outcome.advanced == 0
-        return outcome
+        ackd = self._ackd
+        na_before = na = self.na
+        newly_acked: list[int] = []
+        for seq in range(max(lo, na), hi + 1):
+            if seq not in ackd:
+                ackd.add(seq)
+                newly_acked.append(seq)
+        while na in ackd:
+            ackd.discard(na)
+            na += 1
+        self.na = na
+        return AckOutcome(newly_acked, na - na_before)
 
     def is_acked(self, seq: int) -> bool:
         """True if ``seq`` has been acknowledged (below ``na`` or recorded)."""
@@ -304,24 +321,26 @@ class ReceiverWindow:
         acknowledgment ``(seq, seq)``.
         """
         if seq < self.nr:
-            return AcceptOutcome(duplicate=True)
-        if seq in self._rcvd or seq < self.vr:
-            return AcceptOutcome(redundant=True)
-        self._rcvd.add(seq)
+            return _DUPLICATE
+        rcvd = self._rcvd
+        if seq in rcvd or seq < self.vr:
+            return _REDUNDANT
+        rcvd.add(seq)
         self._payloads[seq] = payload
-        return AcceptOutcome(recorded=True)
+        return _RECORDED
 
     def advance(self) -> int:
         """Slide ``vr`` over the received run (paper action 4, iterated).
 
         Returns how far ``vr`` moved.
         """
-        moved = 0
-        while self.vr in self._rcvd:
-            self._rcvd.discard(self.vr)
-            self.vr += 1
-            moved += 1
-        return moved
+        rcvd = self._rcvd
+        vr = start = self.vr
+        while vr in rcvd:
+            rcvd.discard(vr)
+            vr += 1
+        self.vr = vr
+        return vr - start
 
     @property
     def ack_ready(self) -> bool:

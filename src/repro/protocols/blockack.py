@@ -103,6 +103,11 @@ __all__ = [
 
 TIMEOUT_MODES = ("simple", "per_message_safe", "oracle", "aggressive")
 
+# the per-message trace kinds, read once here rather than per record
+_RECV_ACK = EventKind.RECV_ACK
+_SEND_ACK = EventKind.SEND_ACK
+_RESEND_ACK = EventKind.RESEND_ACK
+
 
 def safe_timeout_period(
     forward_lifetime: float,
@@ -245,13 +250,14 @@ class BlockAckSender(WindowedSender):
 
     def _wire_message(self, seq: int, attempt: int) -> DataMessage:
         return DataMessage(
-            seq=self.numbering.encode(seq),
-            payload=self._payloads.get(seq),
-            attempt=attempt,
+            self.numbering.encode(seq), self._payloads.get(seq), attempt
         )
 
     def _arm_timers(self, seq: int, attempt: int) -> None:
-        if self.timeout_mode == "oracle":
+        timers = self._timers
+        if timers is not None:  # per_message_safe and aggressive
+            timers.start(seq)
+        elif self.timeout_mode == "oracle":
             if not self._poll.running:
                 self._poll.start(self.timeout_period)
         else:
@@ -264,37 +270,48 @@ class BlockAckSender(WindowedSender):
     def on_message(self, ack: Any) -> None:
         if not isinstance(ack, BlockAck):
             raise TypeError(f"block-ack sender got {ack!r}")
-        self.stats.acks_received += 1
-        lo = self.numbering.decode_at_sender(ack.lo, self.window.na)
-        hi = self.numbering.decode_at_sender(ack.hi, self.window.na)
-        if lo > hi or hi >= self.window.ns:
+        window = self.window
+        stats = self.stats
+        stats.acks_received += 1
+        decode = self.numbering.decode_at_sender
+        lo = decode(ack.lo, window.na)
+        hi = decode(ack.hi, window.na)
+        if lo > hi or hi >= window.ns:
             # Provably stale or garbled: with bounded numbering, a very old
             # duplicate ack decodes beyond the send horizon.  Discard.
-            self.stats.stale_acks += 1
+            stats.stale_acks += 1
             self.trace.record(
                 self.actor_name, EventKind.NOTE, detail=f"discarded ack {ack}"
             )
             return
-        self.trace.record(self.actor_name, EventKind.RECV_ACK, seq=lo, seq_hi=hi)
-        outcome = self.window.apply_ack(lo, hi)
+        self.trace.record(self.actor_name, _RECV_ACK, lo, hi)
+        outcome = window.apply_ack(lo, hi)
         if outcome.stale:
-            self.stats.stale_acks += 1
-        self.hi_acked = max(self.hi_acked, hi)
-        self._register_ack(outcome.newly_acked, self.window.na)
-        for seq in outcome.newly_acked:
-            self._payloads.pop(seq, None)
-            if self._timers is not None:
-                self._timers.stop(seq)
-            self._parked.discard(seq)
-            self._covered_at.pop(seq, None)
-        if self.timeout_mode == "simple" and self.window.all_acknowledged:
-            self._timer.stop()
-        if self.timeout_mode == "oracle" and self.window.all_acknowledged:
-            self._poll.stop()
-        if self.timeout_mode == "per_message_safe":
+            stats.stale_acks += 1
+        if hi > self.hi_acked:
+            self.hi_acked = hi
+        newly_acked = outcome.newly_acked
+        self._register_ack(newly_acked, window.na)
+        payloads = self._payloads
+        timers = self._timers
+        parked = self._parked
+        covered = self._covered_at
+        for seq in newly_acked:
+            payloads.pop(seq, None)
+            if timers is not None:
+                timers.stop(seq)
+            parked.discard(seq)
+            covered.pop(seq, None)
+        mode = self.timeout_mode
+        if mode == "per_message_safe":
             self._release_parked(self._note_coverage())
+        elif mode == "simple":
+            if window.all_acknowledged:
+                self._timer.stop()
+        elif mode == "oracle" and window.all_acknowledged:
+            self._poll.stop()
         if outcome.advanced:
-            self._window_open_event(self.window.na)
+            self._window_open_event(window.na)
 
     # ------------------------------------------------------------------
     # timeout machinery
@@ -613,11 +630,10 @@ class BlockAckReceiver(WindowedReceiver):
     def on_message(self, message: Any) -> None:
         if not isinstance(message, DataMessage):
             raise TypeError(f"block-ack receiver got {message!r}")
-        seq = self.numbering.decode_at_receiver(
-            message.seq, self.window.nr, self._w
-        )
+        window = self.window
+        seq = self.numbering.decode_at_receiver(message.seq, window.nr, self._w)
         self._note_arrival(seq)
-        outcome = self.window.accept(seq, message.payload)
+        outcome = window.accept(seq, message.payload)
         if outcome.duplicate:
             # v < nr: already accepted — re-acknowledge with (v, v)
             self.stats.duplicates += 1
@@ -626,13 +642,12 @@ class BlockAckReceiver(WindowedReceiver):
         if outcome.redundant:
             self.stats.redundant += 1
             return
-        if seq != self.window.vr:
+        if seq != window.vr:
             self.stats.out_of_order += 1
-        pending_before = self.window.vr - self.window.nr
-        self.window.advance()  # paper action 4 (iterated)
-        self._note_buffered(self.window.buffered_count())
-        pending = self.window.vr - self.window.nr
-        if pending > pending_before or pending > 0:
+        window.advance()  # paper action 4 (iterated)
+        self._note_buffered(window.buffered_count())
+        pending = window.vr - window.nr
+        if pending > 0:
             self.ack_policy.on_update(pending)
 
     # ------------------------------------------------------------------
@@ -640,22 +655,19 @@ class BlockAckReceiver(WindowedReceiver):
     # ------------------------------------------------------------------
 
     def _flush_acks(self) -> None:
-        self.window.advance()
-        if not self.window.ack_ready:
-            return
-        lo, hi, payloads = self.window.take_block()
-        self._send_ack(lo, hi, duplicate=False)
-        self._deliver_block(lo, payloads)
+        window = self.window
+        window.advance()
+        if window.nr < window.vr:  # paper action 5 guard
+            lo, hi, payloads = window.take_block()
+            self._send_ack(lo, hi, duplicate=False)
+            self._deliver_block(lo, payloads)
 
     def _send_ack(self, lo: int, hi: int, duplicate: bool) -> None:
-        ack = BlockAck(
-            lo=self.numbering.encode(lo),
-            hi=self.numbering.encode(hi),
-            urgent=duplicate,
-        )
+        encode = self.numbering.encode
+        ack = BlockAck(encode(lo), encode(hi), duplicate)
         self.stats.acks_sent += 1
-        kind = EventKind.RESEND_ACK if duplicate else EventKind.SEND_ACK
-        self.trace.record(self.actor_name, kind, seq=lo, seq_hi=hi)
+        kind = _RESEND_ACK if duplicate else _SEND_ACK
+        self.trace.record(self.actor_name, kind, lo, hi)
         self.tx.send(ack)
 
     # ------------------------------------------------------------------

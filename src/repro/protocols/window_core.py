@@ -54,6 +54,13 @@ from repro.trace.events import EventKind
 
 __all__ = ["WindowedSender", "WindowedReceiver", "TIMER_STYLES"]
 
+# the per-message trace kinds, read once here rather than per record
+_SEND_DATA = EventKind.SEND_DATA
+_RESEND_DATA = EventKind.RESEND_DATA
+_RECV_DATA = EventKind.RECV_DATA
+_DELIVER = EventKind.DELIVER
+_WINDOW_OPEN = EventKind.WINDOW_OPEN
+
 #: how a windowed sender retransmits: one Section-II style timer covering
 #: the oldest outstanding message, a per-sequence timer bank, or no
 #: core-managed timer at all (the subclass arms its own).
@@ -198,24 +205,27 @@ class WindowedSender(SenderEndpoint):
     def _transmit(self, seq: int, attempt: int) -> None:
         """One (re)transmission: stats, trace, send, controller, timers."""
         message = self._wire_message(seq, attempt)
-        self.stats.data_sent += 1
+        stats = self.stats
+        stats.data_sent += 1
         if attempt > 0:
-            self.stats.retransmissions += 1
-            self.trace.record(self.actor_name, EventKind.RESEND_DATA, seq=seq)
+            stats.retransmissions += 1
+            self.trace.record(self.actor_name, _RESEND_DATA, seq)
         else:
-            self.trace.record(self.actor_name, EventKind.SEND_DATA, seq=seq)
+            self.trace.record(self.actor_name, _SEND_DATA, seq)
         self.tx.send(message)
-        if self._retx is not None:
-            self._retx.on_send(seq, self.sim.now, retransmit=attempt > 0)
+        retx = self._retx
+        if retx is not None:
+            retx.on_send(seq, self.sim.now, retransmit=attempt > 0)
         self._arm_timers(seq, attempt)
 
     def _arm_timers(self, seq: int, attempt: int) -> None:
         """Re-arm retransmission timers after a transmission."""
-        if self._timer is not None:
+        timers = self._timers
+        if timers is not None:
+            timers.start(seq)
+        elif self._timer is not None:
             # the single timer measures time since the *last* transmission
             self._timer.restart()
-        elif self._timers is not None:
-            self._timers.start(seq)
 
     # ------------------------------------------------------------------
     # acknowledgment bookkeeping
@@ -230,14 +240,17 @@ class WindowedSender(SenderEndpoint):
         ``acked``/``last_ack_time`` stats.  Callers remain responsible
         for payload/timer cleanup (it differs per protocol).
         """
-        if self._retx is not None:
-            self._retx.on_ack(newly_acked, self.sim.now)
-        self.stats.acked = acked_value
-        self.stats.last_ack_time = self.sim.now
+        now = self.sim.now
+        retx = self._retx
+        if retx is not None:
+            retx.on_ack(newly_acked, now)
+        stats = self.stats
+        stats.acked = acked_value
+        stats.last_ack_time = now
 
     def _window_open_event(self, na: int) -> None:
         """Record the window reopening and wake the source."""
-        self.trace.record(self.actor_name, EventKind.WINDOW_OPEN, seq=na)
+        self.trace.record(self.actor_name, _WINDOW_OPEN, na)
         self._window_opened()
 
     # ------------------------------------------------------------------
@@ -392,7 +405,7 @@ class WindowedReceiver(ReceiverEndpoint):
     def _note_arrival(self, seq: int) -> None:
         """Stats + trace for one arriving data message."""
         self.stats.data_received += 1
-        self.trace.record(self.actor_name, EventKind.RECV_DATA, seq=seq)
+        self.trace.record(self.actor_name, _RECV_DATA, seq)
 
     def _classify(self, outcome: Any, seq: int, expected: int) -> None:
         """Bump the duplicate / redundant / out-of-order counters."""
@@ -405,14 +418,18 @@ class WindowedReceiver(ReceiverEndpoint):
 
     def _note_buffered(self, buffered_count: int) -> None:
         """Track the reorder-buffer high-water mark."""
-        self.stats.max_buffered = max(self.stats.max_buffered, buffered_count)
+        stats = self.stats
+        if buffered_count > stats.max_buffered:
+            stats.max_buffered = buffered_count
 
     def _deliver_block(self, lo: int, payloads: Iterable[Any]) -> None:
         """Release one in-order block to the application, tracing each."""
-        for offset, payload in enumerate(payloads):
-            seq = lo + offset
-            self.trace.record(self.actor_name, EventKind.DELIVER, seq=seq)
-            self._deliver(seq, payload)
+        record = self.trace.record
+        actor = self.actor_name
+        deliver = self._deliver
+        for seq, payload in enumerate(payloads, lo):
+            record(actor, _DELIVER, seq)
+            deliver(seq, payload)
 
     def _drain_ready(self) -> None:
         """Deliver every completed in-order block (paper actions 4+5)."""

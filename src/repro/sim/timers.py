@@ -60,9 +60,10 @@ class Timer:
     def start(self, period: float) -> None:
         """Arm the timer ``period`` from now.  Restarts if already running."""
         self.stop()
-        self._expires_at = self._sim.now + period
-        self._event = self._sim.schedule(period, self._fire)
-        observer = getattr(self._sim, "timer_observer", None)
+        sim = self._sim
+        self._expires_at = sim.now + period
+        self._event = sim.schedule(period, self._fire)
+        observer = getattr(sim, "timer_observer", None)
         if observer is not None:
             observer("arm", self)
 
@@ -72,8 +73,9 @@ class Timer:
 
     def stop(self) -> None:
         """Disarm the timer.  Safe to call when idle."""
-        if self._event is not None:
-            self._event.cancel()
+        event = self._event
+        if event is not None:
+            event.cancel()
             self._event = None
             observer = getattr(self._sim, "timer_observer", None)
             if observer is not None:
@@ -87,6 +89,35 @@ class Timer:
         if observer is not None:
             observer("fire", self)
         self._callback(*self._args)
+
+
+class _BankTimer(Timer):
+    """The timer a :class:`TimerBank` keeps for one key.
+
+    A bank builds one of these per sent sequence number, but only timer
+    observers read its name, ``"<bank>[<key!r>]"``: the causal
+    recorder's timer nodes, flight dumps and Perfetto tracks.  So the
+    name is formatted on first read and cached.  The constructor fills
+    the fields :meth:`Timer.__init__` fills; start, stop and fire are
+    :class:`Timer`'s own.
+    """
+
+    def __init__(self, bank: "TimerBank", key: Any) -> None:
+        self._sim = bank._sim
+        self._callback = bank._callback
+        self._args = (key,)
+        self._event = None
+        self._expires_at = None
+        self._bank_name = bank.name
+        self._name: Optional[str] = None
+        self.key = key
+
+    @property
+    def name(self) -> str:
+        name = self._name
+        if name is None:
+            name = self._name = f"{self._bank_name}[{self.key!r}]"
+        return name
 
 
 class TimerBank:
@@ -112,13 +143,10 @@ class TimerBank:
 
     def start(self, key: Any, period: float) -> None:
         """Arm (or re-arm) the timer for ``key``."""
-        timer = self._timers.get(key)
+        timers = self._timers
+        timer = timers.get(key)
         if timer is None:
-            timer = Timer(
-                self._sim, self._callback, key, name=f"{self.name}[{key!r}]"
-            )
-            timer.key = key
-            self._timers[key] = timer
+            timer = timers[key] = _BankTimer(self, key)
         timer.start(period)
 
     def stop(self, key: Any) -> None:
@@ -195,4 +223,6 @@ class AdaptiveTimerBank(TimerBank):
 
     def start(self, key: Any, period: Optional[float] = None) -> None:
         """Arm (or re-arm) ``key`` — for ``period_fn(key)`` when omitted."""
-        super().start(key, period if period is not None else self._period_fn(key))
+        if period is None:
+            period = self._period_fn(key)
+        TimerBank.start(self, key, period)

@@ -97,7 +97,10 @@ class GreedySource(Source):
         self._fill()
 
     def _fill(self) -> None:
-        while not self.exhausted and self._bound_sender.can_accept:
+        sender = self._bound_sender
+        submitted = self.submitted
+        total = self.total
+        while len(submitted) < total and sender.can_accept:
             self._submit_one()
 
 

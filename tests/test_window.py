@@ -1,5 +1,7 @@
 """Unit tests for sender/receiver window bookkeeping."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.window import ReceiverWindow, SenderWindow
@@ -86,6 +88,24 @@ class TestSenderWindowAcks:
         outcome = window.apply_ack(1, 1)
         assert outcome.stale
 
+    def test_each_ack_gets_its_own_outcome(self):
+        window = self.make_loaded()
+        first = window.apply_ack(2, 3)
+        repeat = window.apply_ack(2, 3)
+        again = window.apply_ack(3, 3)
+        closing = window.apply_ack(0, 1)
+        assert (first.newly_acked, first.advanced, first.stale) == ([2, 3], 0, False)
+        assert (repeat.newly_acked, repeat.advanced, repeat.stale) == ([], 0, True)
+        assert (again.newly_acked, again.advanced, again.stale) == ([], 0, True)
+        assert (closing.newly_acked, closing.advanced, closing.stale) == (
+            [0, 1], 4, False
+        )
+        lists = [first.newly_acked, repeat.newly_acked, again.newly_acked,
+                 closing.newly_acked]
+        assert len({id(acked) for acked in lists}) == 4
+        repeat.newly_acked.append(99)  # a caller's list is its own
+        assert again.newly_acked == []
+
     def test_ack_beyond_ns_rejected(self):
         window = self.make_loaded(sent=2)
         with pytest.raises(ValueError):
@@ -157,6 +177,27 @@ class TestReceiverWindow:
         window.accept(2)
         outcome = window.accept(2)
         assert outcome.redundant
+
+    def test_outcomes_cannot_be_mutated(self):
+        window = ReceiverWindow(4)
+        recorded = window.accept(1)
+        redundant = window.accept(1)
+        window.accept(0)
+        window.advance()
+        window.take_block()
+        duplicate = window.accept(0)
+        flags = ("duplicate", "recorded", "redundant")
+        for outcome, raised in (
+            (duplicate, "duplicate"),
+            (recorded, "recorded"),
+            (redundant, "redundant"),
+        ):
+            assert [getattr(outcome, flag) for flag in flags] == [
+                flag == raised for flag in flags
+            ]
+            for flag in flags:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(outcome, flag, True)
 
     def test_out_of_order_buffering_and_release(self):
         window = ReceiverWindow(4)
