@@ -142,5 +142,9 @@ def test_run_profile_writes_dumps(tmp_path):
     assert names == ["transfer.prof", "transfer.txt"]
     report = (tmp_path / "transfer.txt").read_text()
     assert "messages delivered" in report
+    header = report.splitlines()[1]
+    label, _, value = header.partition(": ")
+    assert label == "function calls per delivered message"
+    assert 0 < float(value) < 1000
     assert "cumulative" in report and "internal" in report
     assert (tmp_path / "transfer.prof").stat().st_size > 0
