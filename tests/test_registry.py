@@ -3,7 +3,19 @@
 import pytest
 
 from repro.protocols.base import ReceiverEndpoint, SenderEndpoint
+from repro.protocols.blockack import BlockAckReceiver, BlockAckSender
+from repro.protocols.blockack_bounded import (
+    BoundedBlockAckReceiver,
+    BoundedBlockAckSender,
+)
+from repro.protocols.gobackn import GoBackNReceiver, GoBackNSender
 from repro.protocols.registry import PROTOCOLS, make_pair, protocol_names
+from repro.protocols.sack import SackReceiver, SackSender
+from repro.protocols.selective_repeat import (
+    SelectiveRepeatReceiver,
+    SelectiveRepeatSender,
+)
+from repro.protocols.stenning import StenningReceiver, StenningSender
 from repro.sim.runner import run_transfer
 from repro.workloads.sources import GreedySource
 
@@ -15,10 +27,22 @@ class TestRegistry:
         assert "gobackn" in protocol_names()
 
     def test_every_factory_builds_endpoint_pair(self):
+        classes = {
+            "blockack": (BlockAckSender, BlockAckReceiver),
+            "blockack-simple": (BlockAckSender, BlockAckReceiver),
+            "blockack-oracle": (BlockAckSender, BlockAckReceiver),
+            "blockack-bounded": (BoundedBlockAckSender, BoundedBlockAckReceiver),
+            "gobackn": (GoBackNSender, GoBackNReceiver),
+            "selective-repeat": (SelectiveRepeatSender, SelectiveRepeatReceiver),
+            "stenning": (StenningSender, StenningReceiver),
+            "tcp-sack": (SackSender, SackReceiver),
+        }
+        assert protocol_names() == list(classes)
         for name in protocol_names():
             sender, receiver = make_pair(name, window=4)
             assert isinstance(sender, SenderEndpoint)
             assert isinstance(receiver, ReceiverEndpoint)
+            assert (type(sender), type(receiver)) == classes[name], name
 
     def test_every_protocol_completes_a_transfer(self):
         for name in protocol_names():
