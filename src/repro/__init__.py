@@ -32,6 +32,9 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 measured reproduction of each paper claim.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.channel import (
     BernoulliLoss,
     Channel,
@@ -57,27 +60,32 @@ from repro.core import (
 from repro.protocols import (
     BlockAckReceiver,
     BlockAckSender,
-    BoundedBlockAckReceiver,
-    BoundedBlockAckSender,
     CountingAckPolicy,
     DelayedAckPolicy,
     EagerAckPolicy,
-    GoBackNReceiver,
-    GoBackNSender,
-    SelectiveRepeatReceiver,
-    SelectiveRepeatSender,
-    StenningReceiver,
-    StenningSender,
     make_pair,
     protocol_names,
     safe_timeout_period,
 )
-from repro.duplex import DuplexEndpoint, DuplexFrame, run_duplex
 from repro.sim import Simulator, Timer, TimerBank
 from repro.sim.runner import LinkSpec, TransferResult, run_transfer
-from repro.transport import RealtimeScheduler, UdpTransport, transfer_over_udp
-from repro.wire import FramedChannel, decode_message, encode_message
+from repro.wire import decode_message, encode_message
 from repro.workloads import BurstySource, GreedySource, PoissonSource
+
+if TYPE_CHECKING:
+    from repro.duplex import DuplexEndpoint, DuplexFrame, run_duplex
+    from repro.protocols import (
+        BoundedBlockAckReceiver,
+        BoundedBlockAckSender,
+        GoBackNReceiver,
+        GoBackNSender,
+        SelectiveRepeatReceiver,
+        SelectiveRepeatSender,
+        StenningReceiver,
+        StenningSender,
+    )
+    from repro.transport import RealtimeScheduler, UdpTransport, transfer_over_udp
+    from repro.wire import FramedChannel
 
 __version__ = "1.0.0"
 
@@ -144,3 +152,30 @@ __all__ = [
     "UdpTransport",
     "transfer_over_udp",
 ]
+
+# the baselines, duplex operation, byte framing and real transports load
+# on first use: a block-ack session runs none of them
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.duplex": ("duplex", "DuplexEndpoint", "DuplexFrame", "run_duplex"),
+        "repro.protocols": (
+            "BoundedBlockAckReceiver",
+            "BoundedBlockAckSender",
+            "GoBackNReceiver",
+            "GoBackNSender",
+            "SelectiveRepeatReceiver",
+            "SelectiveRepeatSender",
+            "StenningReceiver",
+            "StenningSender",
+        ),
+        "repro.transport": (
+            "transport",
+            "RealtimeScheduler",
+            "UdpTransport",
+            "transfer_over_udp",
+        ),
+        "repro.wire": ("FramedChannel",),
+    },
+)

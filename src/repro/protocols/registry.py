@@ -4,7 +4,9 @@ The experiments and the CLI refer to protocols by short names; this
 registry maps each name to a factory that builds a matched
 ``(sender, receiver)`` pair.  Factories accept the common keyword
 arguments (``window``, plus protocol-specific extras) so sweep harnesses
-can stay generic.
+can stay generic.  Each factory of a protocol other than the Section IV
+block-ack endpoints imports its module when first called, so a session
+loads only the protocol it runs.
 """
 
 from __future__ import annotations
@@ -15,18 +17,7 @@ from repro.core.numbering import ModularNumbering
 from repro.protocols.ack_policy import AckPolicy
 from repro.protocols.base import ReceiverEndpoint, SenderEndpoint
 from repro.protocols.blockack import BlockAckReceiver, BlockAckSender
-from repro.protocols.blockack_bounded import (
-    BoundedBlockAckReceiver,
-    BoundedBlockAckSender,
-)
-from repro.protocols.gobackn import GoBackNReceiver, GoBackNSender
-from repro.protocols.sack import SackReceiver, SackSender
 from repro.robustness.controller import AdaptiveConfig
-from repro.protocols.selective_repeat import (
-    SelectiveRepeatReceiver,
-    SelectiveRepeatSender,
-)
-from repro.protocols.stenning import StenningReceiver, StenningSender
 
 __all__ = ["PROTOCOLS", "make_pair", "protocol_names"]
 
@@ -77,6 +68,11 @@ def _blockack_bounded(
     adaptive: Optional[AdaptiveConfig] = None,
     **_: object,
 ) -> Pair:
+    from repro.protocols.blockack_bounded import (
+        BoundedBlockAckReceiver,
+        BoundedBlockAckSender,
+    )
+
     sender = BoundedBlockAckSender(
         window, timeout_period=timeout_period, adaptive=adaptive
     )
@@ -90,6 +86,8 @@ def _gobackn(
     adaptive: Optional[AdaptiveConfig] = None,
     **_: object,
 ) -> Pair:
+    from repro.protocols.gobackn import GoBackNReceiver, GoBackNSender
+
     return (
         GoBackNSender(window, timeout_period, adaptive=adaptive),
         GoBackNReceiver(window),
@@ -102,6 +100,11 @@ def _selective_repeat(
     adaptive: Optional[AdaptiveConfig] = None,
     **_: object,
 ) -> Pair:
+    from repro.protocols.selective_repeat import (
+        SelectiveRepeatReceiver,
+        SelectiveRepeatSender,
+    )
+
     return (
         SelectiveRepeatSender(window, timeout_period, adaptive=adaptive),
         SelectiveRepeatReceiver(window),
@@ -111,6 +114,8 @@ def _selective_repeat(
 def _tcp_sack(
     window: int, timeout_period: Optional[float] = None, **_: object
 ) -> Pair:
+    from repro.protocols.sack import SackReceiver, SackSender
+
     return SackSender(window, timeout_period), SackReceiver(window)
 
 
@@ -121,6 +126,8 @@ def _stenning(
     timeout_period: Optional[float] = None,
     **_: object,
 ) -> Pair:
+    from repro.protocols.stenning import StenningReceiver, StenningSender
+
     d = domain if domain is not None else 2 * window
     sender = StenningSender(
         window, d, reuse_delay=reuse_delay, timeout_period=timeout_period

@@ -33,12 +33,17 @@ Adaptive behavior is strictly opt-in: every protocol sender takes an
 code paths are bit-identical to the paper's realization.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.robustness.backoff import BackoffPolicy
 from repro.robustness.budget import RetryBudget, RetryVerdict
 from repro.robustness.controller import AdaptiveConfig, RetransmissionController
-from repro.robustness.corruption import StateCorruption
-from repro.robustness.faults import CrashRestart, FaultPlan
 from repro.robustness.rtt import RttEstimator
+
+if TYPE_CHECKING:
+    from repro.robustness.corruption import StateCorruption
+    from repro.robustness.faults import CrashRestart, FaultPlan
 
 __all__ = [
     "AdaptiveConfig",
@@ -51,3 +56,13 @@ __all__ = [
     "RttEstimator",
     "StateCorruption",
 ]
+
+# fault injection loads on first use: only fault-plan runs need it
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.robustness.corruption": ("corruption", "StateCorruption"),
+        "repro.robustness.faults": ("faults", "CrashRestart", "FaultPlan"),
+    },
+)

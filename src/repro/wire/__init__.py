@@ -1,5 +1,8 @@
 """Byte-level wire format: checksummed frames and bit-error links."""
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.wire.codec import (
     MAX_WIRE_SEQ,
     CorruptFrame,
@@ -8,7 +11,9 @@ from repro.wire.codec import (
     encode_message,
     frame_overhead,
 )
-from repro.wire.framed import FramedChannel
+
+if TYPE_CHECKING:
+    from repro.wire.framed import FramedChannel
 
 __all__ = [
     "encode_message",
@@ -19,3 +24,8 @@ __all__ = [
     "MAX_WIRE_SEQ",
     "FramedChannel",
 ]
+
+# the byte-framed channel loads on first use; the codec alone serves the mux
+__getattr__, __dir__ = lazy_exports(
+    __name__, globals(), {"repro.wire.framed": ("framed", "FramedChannel")}
+)
