@@ -52,6 +52,20 @@ class TestConfig:
             ArbiterConfig(rate=1.0, queue_limit=0)
         with pytest.raises(ValueError):
             ArbiterConfig(rate=1.0, quantum=0.0)
+        # NaN slips past every comparison, and an infinite rate re-arms
+        # the wake at zero delay: each would hang or unbound the link
+        for field in ("rate", "burst", "quantum"):
+            for value in (float("nan"), float("inf")):
+                config = {"rate": 1.0, field: value}
+                with pytest.raises(ValueError, match=field):
+                    ArbiterConfig(**config)
+
+    @pytest.mark.parametrize("scheduler", ["wrr", "drr"])
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_register_rejects_non_finite_weight(self, sim, scheduler, weight):
+        arbiter, _ = build(sim, rate=1.0, scheduler=scheduler)
+        with pytest.raises(ValueError, match="weight"):
+            arbiter.register(0, weight)
 
     def test_arbiter_refuses_inactive_config(self, sim):
         with pytest.raises(ValueError):
