@@ -166,11 +166,10 @@ class BoundedBlockAckReceiver(WindowedReceiver):
             return
         if wire != self.book.vr:
             self.stats.out_of_order += 1
-        pending_before = self.book.domain.sub(self.book.vr, self.book.nr)
         self.book.advance()
         self._note_buffered(self.book.buffered_count())
         pending = self.book.domain.sub(self.book.vr, self.book.nr)
-        if pending > pending_before or pending > 0:
+        if pending > 0:
             self.ack_policy.on_update(pending)
 
     def _flush_acks(self) -> None:
