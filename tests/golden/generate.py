@@ -24,7 +24,8 @@ from repro.workloads.sources import GreedySource
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("decision_traces.json")
 
-#: the protocols the window-core refactor touches
+#: every sliding-window protocol in the registry; the pins hold each
+#: one's decisions fixed while the shared endpoint code changes
 PROTOCOLS = (
     "blockack",
     "blockack-simple",
@@ -32,6 +33,8 @@ PROTOCOLS = (
     "gobackn",
     "selective-repeat",
     "tcp-sack",
+    "stenning",
+    "blockack-oracle",
 )
 
 
