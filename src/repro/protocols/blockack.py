@@ -91,7 +91,6 @@ from repro.core.window import ReceiverWindow, SenderWindow
 from repro.protocols.ack_policy import AckPolicy, EagerAckPolicy
 from repro.protocols.window_core import WindowedReceiver, WindowedSender
 from repro.robustness.controller import AdaptiveConfig
-from repro.sim.timers import Timer
 from repro.trace.events import EventKind
 
 __all__ = [
@@ -191,16 +190,16 @@ class BlockAckSender(WindowedSender):
         self.numbering = numbering if numbering is not None else UnboundedNumbering()
         self.timeout_mode = timeout_mode
         # map the paper's timeout modes onto the core's timer styles
-        self.timer_style = {"simple": "single", "oracle": "custom"}.get(
-            timeout_mode, "per_seq"
-        )
+        if timeout_mode in ("simple", "oracle"):
+            self.timer_style = "single"
+        if timeout_mode == "oracle":
+            self.timer_name = "oracle-poll"  # the poll is the single timer
         self.reverse_lifetime = reverse_lifetime
         self.hi_acked = -1  # highest sequence number seen in any valid ack
         self._parked: Set[int] = set()  # expired but not yet eligible
         self._covered_at: Dict[int, float] = {}  # seq -> time hi_acked passed it
         # coverage cursor: every outstanding seq below it has a stamp
         self._covered_below = 0
-        self._poll: Optional[Timer] = None  # oracle mode
         # oracle hooks, wired by enable_oracle()
         self._oracle_receiver: Optional["BlockAckReceiver"] = None
         self._oracle_forward = None
@@ -216,8 +215,6 @@ class BlockAckSender(WindowedSender):
             # reverse lifetime; a tighter value comes from the runner.
             self.reverse_lifetime = self.timeout_period
         super()._after_attach()
-        if self.timeout_mode == "oracle":
-            self._poll = Timer(self.sim, self._on_oracle_poll, name="oracle-poll")
 
     def enable_oracle(self, forward, reverse, receiver: "BlockAckReceiver") -> None:
         """Wire the oracle guard's inputs (``oracle`` mode only)."""
@@ -258,8 +255,8 @@ class BlockAckSender(WindowedSender):
         if timers is not None:  # per_message_safe and aggressive
             timers.start(seq)
         elif self.timeout_mode == "oracle":
-            if not self._poll.running:
-                self._poll.start(self.timeout_period)
+            if not self._timer.running:
+                self._timer.start()
         else:
             super()._arm_timers(seq, attempt)
 
@@ -305,11 +302,8 @@ class BlockAckSender(WindowedSender):
         mode = self.timeout_mode
         if mode == "per_message_safe":
             self._release_parked(self._note_coverage())
-        elif mode == "simple":
-            if window.all_acknowledged:
-                self._timer.stop()
-        elif mode == "oracle" and window.all_acknowledged:
-            self._poll.stop()
+        elif mode != "aggressive" and window.all_acknowledged:
+            self._timer.stop()  # simple and oracle: the single timer
         if outcome.advanced:
             self._window_open_event(window.na)
 
@@ -370,21 +364,11 @@ class BlockAckSender(WindowedSender):
             s for s in self.window.outstanding() if s not in self._parked
         )
 
-    def _rearm_after_repair(self) -> list:
-        repairs = super()._rearm_after_repair()
-        if (
-            self._poll is not None
-            and not self.link_dead
-            and not self._down
-            and not self.window.all_acknowledged
-            and not self._poll.running
-        ):
-            self._poll.start(self.timeout_period)
-            repairs.append("re-armed oracle poll")
-        return repairs
-
     def _on_single_timeout(self) -> None:
-        """Section II action 2: retransmit ``na`` only."""
+        """Section II action 2: retransmit ``na`` only (or poll the oracle)."""
+        if self.timeout_mode == "oracle":
+            self._on_oracle_poll()
+            return
         if self.window.all_acknowledged or self.window.na >= self.window.ns:
             # the second disjunct only differs under state corruption:
             # never retransmit from an inconsistent cursor (stabilize
@@ -524,8 +508,6 @@ class BlockAckSender(WindowedSender):
             self._timer.stop()
         if self._timers is not None:
             self._timers.stop_all()
-        if self._poll is not None:
-            self._poll.stop()
         self._parked.clear()
         self._covered_at.clear()
         self._covered_below = 0
@@ -550,8 +532,6 @@ class BlockAckSender(WindowedSender):
             self._note_coverage()
         if self._timer is not None:
             self._timer.restart()
-        elif self._poll is not None:
-            self._poll.start(self.timeout_period)
         else:
             for seq in self.window.outstanding():
                 self._timers.start(seq)
@@ -597,7 +577,7 @@ class BlockAckSender(WindowedSender):
             )
             self._transmit(seq, attempt=1)
         if not self.window.all_acknowledged:
-            self._poll.start(self.timeout_period)
+            self._timer.start()
 
 
 class BlockAckReceiver(WindowedReceiver):

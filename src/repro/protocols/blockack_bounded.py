@@ -79,9 +79,6 @@ class BoundedBlockAckSender(WindowedSender):
     def _payload_for(self, wire: int) -> Any:
         return self._payloads[wire % self.w]
 
-    def _arm_timers(self, wire: int, attempt: int) -> None:
-        self._timer.restart()
-
     def _on_single_timeout(self) -> None:
         if (
             self.book.all_acknowledged

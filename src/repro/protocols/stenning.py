@@ -30,6 +30,11 @@ candidate that can actually be in transit is the **largest** value
 (sender side, for acks).  This works for any ``D >= w + 1`` — smaller
 than the ``2w`` the paper's own protocol needs, which is exactly the
 trade: a smaller number space bought with real-time delays.
+
+The endpoints are the selective-repeat ones of
+:mod:`repro.protocols.selective_repeat` (per-message timers and singleton
+acks on the :mod:`repro.protocols.window_core` scaffolding) plus what
+this module keeps: the mod-``D`` wire codec and the reuse delay.
 """
 
 from __future__ import annotations
@@ -37,9 +42,11 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.core.messages import BlockAck, DataMessage
-from repro.core.window import ReceiverWindow, SenderWindow
-from repro.protocols.base import ReceiverEndpoint, SenderEndpoint
-from repro.sim.timers import Timer, TimerBank
+from repro.protocols.selective_repeat import (
+    SelectiveRepeatReceiver,
+    SelectiveRepeatSender,
+)
+from repro.sim.timers import Timer
 from repro.trace.events import EventKind
 
 __all__ = ["StenningSender", "StenningReceiver", "decode_latest"]
@@ -55,7 +62,12 @@ def decode_latest(wire: int, domain: int, bound: int) -> Optional[int]:
     return v if v >= 0 else None
 
 
-class StenningSender(SenderEndpoint):
+def _check_domain(window: int, domain: int) -> None:
+    if domain < window + 1:
+        raise ValueError(f"domain must be >= w + 1 = {window + 1}, got {domain}")
+
+
+class StenningSender(SelectiveRepeatSender):
     """Bounded-number sender with the per-number reuse delay.
 
     Parameters
@@ -74,6 +86,8 @@ class StenningSender(SenderEndpoint):
         None (and shared with ``reuse_delay`` unless both are given).
     """
 
+    timer_name = "st-retx"
+
     def __init__(
         self,
         window: int,
@@ -81,26 +95,17 @@ class StenningSender(SenderEndpoint):
         reuse_delay: Optional[float] = None,
         timeout_period: Optional[float] = None,
     ) -> None:
-        super().__init__()
-        if domain < window + 1:
-            raise ValueError(
-                f"domain must be >= w + 1 = {window + 1}, got {domain}"
-            )
-        self.window = SenderWindow(window)
+        _check_domain(window, domain)
+        super().__init__(window, timeout_period=timeout_period)
         self.domain = domain
         self.reuse_delay = reuse_delay
-        self.timeout_period = timeout_period
-        self._payloads: Dict[int, Any] = {}
         self._last_tx: Dict[int, float] = {}  # wire number -> last send time
-        self._timers: Optional[TimerBank] = None
         self._wake: Optional[Timer] = None
 
     def _after_attach(self) -> None:
-        if self.timeout_period is None:
-            raise ValueError("timeout_period must be set before attaching")
+        super()._after_attach()
         if self.reuse_delay is None:
             self.reuse_delay = self.timeout_period
-        self._timers = TimerBank(self.sim, self._on_timeout, name="st-retx")
         self._wake = Timer(self.sim, self._window_opened, name="st-reuse-wake")
 
     # -- the real-time send constraint -------------------------------------
@@ -110,8 +115,7 @@ class StenningSender(SenderEndpoint):
         last = self._last_tx.get(seq % self.domain)
         return 0.0 if last is None else last + self.reuse_delay
 
-    @property
-    def can_accept(self) -> bool:
+    def _send_window_open(self) -> bool:
         return (
             self.window.can_send
             and self.sim is not None
@@ -126,76 +130,21 @@ class StenningSender(SenderEndpoint):
         if ready_at > self.sim.now and not self._wake.running:
             self._wake.start(ready_at - self.sim.now)
 
-    # -- application interface ----------------------------------------------
+    # -- transmission ----------------------------------------------------------
 
     def submit(self, payload: Any) -> int:
         if not self.can_accept:
             raise RuntimeError(
                 f"cannot send: window or reuse constraint (ns={self.window.ns})"
             )
-        seq = self.window.take_next()
-        self._payloads[seq] = payload
-        self.stats.submitted += 1
-        self._transmit(seq, attempt=0)
+        seq = super().submit(payload)
         self._arm_reuse_wake()
         return seq
 
-    @property
-    def all_acknowledged(self) -> bool:
-        return self.window.all_acknowledged
-
-    # -- transmission ----------------------------------------------------------
-
-    def _transmit(self, seq: int, attempt: int) -> None:
+    def _wire_message(self, seq: int, attempt: int) -> DataMessage:
         wire = seq % self.domain
-        self.stats.data_sent += 1
-        if attempt > 0:
-            self.stats.retransmissions += 1
-            self.trace.record(self.actor_name, EventKind.RESEND_DATA, seq=seq)
-        else:
-            self.trace.record(self.actor_name, EventKind.SEND_DATA, seq=seq)
         self._last_tx[wire] = self.sim.now
-        self.tx.send(
-            DataMessage(seq=wire, payload=self._payloads.get(seq), attempt=attempt)
-        )
-        self._timers.start(seq, self.timeout_period)
-
-    def _on_timeout(self, seq: int) -> None:
-        if self.window.is_acked(seq):
-            return
-        self.stats.timeouts_fired += 1
-        self.trace.record(self.actor_name, EventKind.TIMEOUT, seq=seq)
-        self._transmit(seq, attempt=1)
-
-    # -- self-stabilization --------------------------------------------------
-
-    def stabilize(self) -> list:
-        """Guarded repair (Dolev): restore the window, re-arm dead timers.
-
-        Stenning predates the window-core scaffolding, so it carries its
-        own copy of the guard/repair hook; the repair rules themselves
-        live on :class:`~repro.core.window.SenderWindow` and are shared
-        with every other protocol.
-        """
-        repairs = self.window.repair(witness=self._payloads.keys())
-        outstanding = set() if self.all_acknowledged else set(self.window.outstanding())
-        for seq in sorted(outstanding):
-            if not self._timers.running(seq):
-                self._timers.start(seq, self.timeout_period)
-                repairs.append(f"re-armed timer for seq {seq}")
-        for seq in sorted(self._timers.active_keys()):
-            if seq not in outstanding:
-                self._timers.stop(seq)
-                repairs.append(f"disarmed stale timer for seq {seq}")
-        if repairs:
-            self.trace.record(
-                self.actor_name, EventKind.NOTE,
-                detail="stabilize: " + "; ".join(repairs),
-            )
-            if self.can_accept:
-                self._window_opened()
-            self._arm_reuse_wake()
-        return repairs
+        return DataMessage(seq=wire, payload=self._payloads.get(seq), attempt=attempt)
 
     # -- acknowledgment handling -------------------------------------------------
 
@@ -204,63 +153,53 @@ class StenningSender(SenderEndpoint):
             raise TypeError(f"Stenning sender expects (v,v) acks, got {ack!r}")
         self.stats.acks_received += 1
         seq = decode_latest(ack.lo, self.domain, bound=self.window.ns)
-        if seq is None or seq < self.window.na or self.window.is_acked(seq):
+        if seq is None or self.window.is_acked(seq):
             self.stats.stale_acks += 1
             return
         self.trace.record(self.actor_name, EventKind.RECV_ACK, seq=seq, seq_hi=seq)
         outcome = self.window.apply_ack(seq, seq)
+        self._register_ack(outcome.newly_acked, self.window.na)
         self._timers.stop(seq)
         self._payloads.pop(seq, None)
-        self.stats.acked = self.window.na
-        self.stats.last_ack_time = self.sim.now
         if outcome.advanced:
-            self.trace.record(
-                self.actor_name, EventKind.WINDOW_OPEN, seq=self.window.na
-            )
-            self._window_opened()
+            self._window_open_event(self.window.na)
             self._arm_reuse_wake()
 
+    # -- self-stabilization --------------------------------------------------
 
-class StenningReceiver(ReceiverEndpoint):
+    def stabilize(self) -> list:
+        """The core's guard/repair rules, then the reuse wake they may need."""
+        repairs = super().stabilize()
+        if repairs:
+            self._arm_reuse_wake()
+        return repairs
+
+
+class StenningReceiver(SelectiveRepeatReceiver):
     """Bounded-number selective-repeat receiver with reuse-based decoding."""
 
     def __init__(self, window: int, domain: int) -> None:
-        super().__init__()
-        if domain < window + 1:
-            raise ValueError(
-                f"domain must be >= w + 1 = {window + 1}, got {domain}"
-            )
-        self.window = ReceiverWindow(window)
+        _check_domain(window, domain)
+        super().__init__(window)
         self.domain = domain
         self._w = window
 
     def on_message(self, message: Any) -> None:
         if not isinstance(message, DataMessage):
             raise TypeError(f"Stenning receiver got {message!r}")
-        self.stats.data_received += 1
         seq = decode_latest(
             message.seq, self.domain, bound=self.window.nr + self._w
         )
         if seq is None:  # wire number not yet usable: cannot occur in a run
+            self.stats.data_received += 1
             return
-        self.trace.record(self.actor_name, EventKind.RECV_DATA, seq=seq)
+        self._note_arrival(seq)
         outcome = self.window.accept(seq, message.payload)
-        if outcome.duplicate:
-            self.stats.duplicates += 1
-        elif outcome.redundant:
-            self.stats.redundant += 1
-        elif seq != self.window.vr:
-            self.stats.out_of_order += 1
+        self._classify(outcome, seq, self.window.vr)
         self._send_ack(seq)
         self.window.advance()
-        self.stats.max_buffered = max(
-            self.stats.max_buffered, self.window.buffered_count()
-        )
-        while self.window.ack_ready:
-            lo, hi, payloads = self.window.take_block()
-            for offset, payload in enumerate(payloads):
-                self.trace.record(self.actor_name, EventKind.DELIVER, seq=lo + offset)
-                self._deliver(lo + offset, payload)
+        self._note_buffered(self.window.buffered_count())
+        self._drain_ready()
 
     def _send_ack(self, seq: int) -> None:
         self.stats.acks_sent += 1
@@ -271,18 +210,8 @@ class StenningReceiver(ReceiverEndpoint):
     # -- self-stabilization --------------------------------------------------
 
     def stabilize(self) -> list:
-        """Guarded repair: restore window consistency, flush stalled blocks."""
-        repairs = self.window.repair()
+        """The core's guard/repair rules, then deliver any block they freed."""
+        repairs = super().stabilize()
         if repairs:
-            self.trace.record(
-                self.actor_name, EventKind.NOTE,
-                detail="stabilize: " + "; ".join(repairs),
-            )
-            while self.window.ack_ready:
-                lo, hi, payloads = self.window.take_block()
-                for offset, payload in enumerate(payloads):
-                    self.trace.record(
-                        self.actor_name, EventKind.DELIVER, seq=lo + offset
-                    )
-                    self._deliver(lo + offset, payload)
+            self._drain_ready()
         return repairs

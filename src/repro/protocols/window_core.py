@@ -1,10 +1,11 @@
 """Shared window-protocol endpoint core.
 
 Every windowed protocol in this package — block acknowledgment, its
-bounded Section-V twin, go-back-N, selective repeat, and the TCP-SACK
-baseline — used to re-implement the same endpoint scaffolding: a payload
-store keyed by sequence number, transmission bookkeeping (stats counters
-plus ``SEND_DATA``/``RESEND_DATA`` trace records), retransmission-timer
+bounded Section-V twin, go-back-N, selective repeat, Stenning's
+timer-constrained baseline, and the TCP-SACK baseline — used to
+re-implement the same endpoint scaffolding: a payload store keyed by
+sequence number, transmission bookkeeping (stats counters plus
+``SEND_DATA``/``RESEND_DATA`` trace records), retransmission-timer
 plumbing, the adaptive-retransmission controller hookup, and the
 acknowledgment-cursor bookkeeping that advances ``na`` and reopens the
 window.  That duplication made each new endpoint expensive to write and
@@ -17,7 +18,7 @@ This module factors the scaffolding into two bases:
 * :class:`WindowedSender` — owns the timeout period, the optional
   :class:`~repro.robustness.controller.AdaptiveConfig` plumbing, the
   payload store, and the retransmission timers (``timer_style`` picks
-  one Section-II style timer, a per-sequence bank, or none).  Subclasses
+  one Section-II style timer or a per-sequence bank).  Subclasses
   supply the *ack policy side* of the sender: how a wire message is
   built (:meth:`_wire_message`), how timers re-arm after a transmission
   (:meth:`_arm_timers`), and what an acknowledgment means
@@ -62,9 +63,8 @@ _DELIVER = EventKind.DELIVER
 _WINDOW_OPEN = EventKind.WINDOW_OPEN
 
 #: how a windowed sender retransmits: one Section-II style timer covering
-#: the oldest outstanding message, a per-sequence timer bank, or no
-#: core-managed timer at all (the subclass arms its own).
-TIMER_STYLES = ("single", "per_seq", "custom")
+#: the oldest outstanding message, or a per-sequence timer bank.
+TIMER_STYLES = ("single", "per_seq")
 
 
 class WindowedSender(SenderEndpoint):
@@ -141,7 +141,7 @@ class WindowedSender(SenderEndpoint):
                 period_fn=self._seq_period,
                 name=self.timer_name,
             )
-        elif self.timer_style != "custom":
+        else:
             raise ValueError(
                 f"timer_style must be one of {TIMER_STYLES}, "
                 f"got {self.timer_style!r}"
