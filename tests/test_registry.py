@@ -70,7 +70,11 @@ class TestRegistry:
         sender, _ = make_pair("gobackn", window=4, timeout_period=7.5)
         assert sender.timeout_period == 7.5
 
-    def test_extra_kwargs_tolerated(self):
-        # sweep harnesses pass a superset of kwargs; factories must not choke
-        sender, _ = make_pair("gobackn", window=4, bounded_wire=True)
-        assert sender.w == 4
+    def test_unsupported_kwargs_raise(self):
+        # a factory must not hand back a pair that ignores what was asked
+        from repro.robustness.controller import AdaptiveConfig
+
+        with pytest.raises(TypeError, match="bounded_wire"):
+            make_pair("gobackn", window=8, bounded_wire=True)
+        with pytest.raises(TypeError, match="adaptive"):
+            make_pair("tcp-sack", window=8, adaptive=AdaptiveConfig())
