@@ -190,6 +190,27 @@ class TestFaultPlan:
         assert result.monitor.violations == []
 
 
+class TestCrashTargets:
+    @pytest.mark.parametrize(
+        "protocol",
+        ["gobackn", "selective-repeat", "tcp-sack", "stenning", "blockack-bounded"],
+    )
+    def test_crash_on_endpoint_without_crash_rejected_before_the_run(
+        self, protocol
+    ):
+        sender, receiver = make_pair(protocol, window=4)
+        plan = FaultPlan(crashes=[CrashRestart(at=20.0, outage=5.0)])
+        name = type(sender).__name__
+        with pytest.raises(ValueError, match=f"t=20 targets the sender {name}"):
+            run_transfer(
+                sender, receiver, GreedySource(60), seed=1,
+                max_time=50_000.0, fault_plan=plan,
+            )
+        # rejected while wiring: the source never sent a thing
+        assert sender.stats.submitted == 0
+        assert sender.stats.data_sent == 0
+
+
 class TestPlanInstallLifecycle:
     """One plan wires into one transfer; the runner always unwires it."""
 
