@@ -12,7 +12,6 @@ from repro.experiments.common import (
     jitter_link,
     longtail_link,
     lossy_link,
-    run_protocol,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "jitter_link",
     "lossy_link",
     "longtail_link",
-    "run_protocol",
 ]

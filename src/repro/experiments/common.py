@@ -34,8 +34,7 @@ from repro.perf.sweep import (
     causal_enabled_by_env,
     obs_enabled_by_env,
 )
-from repro.sim.runner import LinkSpec, TransferResult, run_transfer
-from repro.workloads.sources import GreedySource
+from repro.sim.runner import LinkSpec, TransferResult
 
 __all__ = [
     "ExperimentSpec",
@@ -44,7 +43,6 @@ __all__ = [
     "jitter_link",
     "lossy_link",
     "longtail_link",
-    "run_protocol",
     "protocol_config",
     "run_grid",
     "SEEDS",
@@ -138,36 +136,6 @@ def longtail_link(loss_p: float = 0.0) -> LinkSpec:
 
 
 # ----------------------------------------------------------------------
-# one-line protocol run
-# ----------------------------------------------------------------------
-
-
-def run_protocol(
-    name: str,
-    window: int,
-    total: int,
-    forward: LinkSpec,
-    reverse: LinkSpec,
-    seed: int,
-    max_time: Optional[float] = None,
-    **protocol_kwargs,
-) -> TransferResult:
-    """Build the named protocol pair, drive it greedily, return the result."""
-    from repro.protocols.registry import make_pair  # local: avoid cycles
-
-    sender, receiver = make_pair(name, window=window, **protocol_kwargs)
-    return run_transfer(
-        sender,
-        receiver,
-        GreedySource(total),
-        forward=forward,
-        reverse=reverse,
-        seed=seed,
-        max_time=max_time,
-    )
-
-
-# ----------------------------------------------------------------------
 # grid runs (the parallel sweep path)
 # ----------------------------------------------------------------------
 
@@ -193,7 +161,7 @@ def protocol_config(
     flow_weights: Optional[Sequence[float]] = None,
     **protocol_kwargs,
 ) -> RunConfig:
-    """The declarative twin of :func:`run_protocol`: one grid cell run.
+    """One grid cell: a greedy transfer of the named protocol pair.
 
     ``obs=None`` (the default) resolves against the ``REPRO_OBS``
     environment variable (the CLI's ``--obs`` flag), so experiments opt

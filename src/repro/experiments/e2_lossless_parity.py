@@ -13,7 +13,7 @@ block-ack variant within 2% of go-back-N at every window size.
 
 from __future__ import annotations
 
-from repro.analysis.metrics import replicate
+from repro.analysis.metrics import summarize_replications
 from repro.analysis.report import render_table
 from repro.experiments.common import (
     SEEDS,
@@ -21,7 +21,8 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentSpec,
     fifo_link,
-    run_protocol,
+    protocol_config,
+    run_grid,
 )
 
 __all__ = ["EXPERIMENT"]
@@ -41,18 +42,22 @@ def run(quick: bool = False) -> ExperimentResult:
     seeds = SEEDS_QUICK if quick else SEEDS
     total = 300 if quick else 2000
 
+    configs = [
+        protocol_config(name, window, total, fifo_link(), fifo_link(), seed)
+        for window in windows
+        for name in PROTOCOLS
+        for seed in seeds
+    ]
+    results = iter(run_grid(configs))
+
     rows = []
     data = {}
     parity_ok = True
     for window in windows:
         throughputs = {}
         for name in PROTOCOLS:
-            metrics = replicate(
-                lambda seed, n=name, w=window: run_protocol(
-                    n, w, total, fifo_link(), fifo_link(), seed
-                ),
-                seeds,
-                metrics=("throughput",),
+            metrics = summarize_replications(
+                [next(results) for _ in seeds], metrics=("throughput",)
             )
             throughputs[name] = metrics["throughput"].mean
         expected = min(window / 2.0, float("inf"))  # RTT = 2 on unit links

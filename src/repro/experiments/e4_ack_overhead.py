@@ -17,7 +17,7 @@ The experiment measures acknowledgments sent per delivered payload:
 
 from __future__ import annotations
 
-from repro.analysis.metrics import replicate
+from repro.analysis.metrics import summarize_replications
 from repro.analysis.report import render_table
 from repro.experiments.common import (
     SEEDS,
@@ -26,7 +26,8 @@ from repro.experiments.common import (
     ExperimentSpec,
     jitter_link,
     lossy_link,
-    run_protocol,
+    protocol_config,
+    run_grid,
 )
 from repro.protocols.ack_policy import CountingAckPolicy, DelayedAckPolicy
 
@@ -46,13 +47,14 @@ def _variants():
     )
 
 
-def _run_variant(name, kwargs, loss_p, spread, total, seed):
+def _config(name, kwargs, loss_p, spread, total, seed):
+    # one fresh ack policy per run: a policy holds per-receiver state
     factory = kwargs.get("ack_policy_factory")
     extra = {}
     if factory is not None:
         extra["ack_policy"] = factory()
     link = lossy_link(loss_p, spread) if loss_p > 0 else jitter_link(spread)
-    return run_protocol(
+    return protocol_config(
         name, WINDOW, total, link, jitter_link(spread), seed, **extra
     )
 
@@ -62,15 +64,20 @@ def run(quick: bool = False) -> ExperimentResult:
     total = 400 if quick else 2000
     conditions = (("in-order lossless", 0.0, 0.0), ("reorder+5% loss", 0.05, 1.5))
 
+    configs = [
+        _config(name, kwargs, loss_p, spread, total, seed)
+        for _, loss_p, spread in conditions
+        for _, name, kwargs in _variants()
+        for seed in seeds
+    ]
+    results = iter(run_grid(configs))
+
     rows = []
     data = {}
-    for cond_label, loss_p, spread in conditions:
-        for label, name, kwargs in _variants():
-            metrics = replicate(
-                lambda seed, n=name, kw=kwargs, lp=loss_p, sp=spread: _run_variant(
-                    n, kw, lp, sp, total, seed
-                ),
-                seeds,
+    for cond_label, _, _ in conditions:
+        for label, _, _ in _variants():
+            metrics = summarize_replications(
+                [next(results) for _ in seeds],
                 metrics=("acks_per_message", "throughput"),
             )
             rows.append(

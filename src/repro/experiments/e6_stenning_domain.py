@@ -21,7 +21,7 @@ flat at the window bound with its fixed 2w-number domain.
 
 from __future__ import annotations
 
-from repro.analysis.metrics import replicate
+from repro.analysis.metrics import summarize_replications
 from repro.analysis.report import render_table
 from repro.experiments.common import (
     LIFETIME_BOUND,
@@ -30,7 +30,8 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentSpec,
     longtail_link,
-    run_protocol,
+    protocol_config,
+    run_grid,
 )
 
 __all__ = ["EXPERIMENT"]
@@ -45,33 +46,34 @@ def run(quick: bool = False) -> ExperimentResult:
     seeds = SEEDS_QUICK if quick else SEEDS
     total = 200 if quick else 600
 
+    # one grid: stenning at every domain, then block ack at its fixed 2w
+    cells = [("stenning", {"domain": domain}) for domain in domains]
+    cells.append(("blockack", {"bounded_wire": True}))
+    configs = [
+        protocol_config(
+            name, WINDOW, total, longtail_link(), longtail_link(), seed, **kwargs
+        )
+        for name, kwargs in cells
+        for seed in seeds
+    ]
+    results = iter(run_grid(configs))
+    goodputs = [
+        summarize_replications(
+            [next(results) for _ in seeds], metrics=("throughput",)
+        )["throughput"].mean
+        for _ in cells
+    ]
+
     rows = []
     data = {}
-    for domain in domains:
-        metrics = replicate(
-            lambda seed, d=domain: run_protocol(
-                "stenning", WINDOW, total, longtail_link(), longtail_link(),
-                seed, domain=d,
-            ),
-            seeds,
-            metrics=("throughput",),
-        )
+    for domain, goodput in zip(domains, goodputs):
         cap = domain / REUSE_PERIOD
-        rows.append((f"stenning D={domain}", metrics["throughput"].mean, f"{cap:.2f}"))
-        data[f"stenning_{domain}"] = metrics["throughput"].mean
-
-    ba = replicate(
-        lambda seed: run_protocol(
-            "blockack", WINDOW, total, longtail_link(), longtail_link(), seed,
-            bounded_wire=True,
-        ),
-        seeds,
-        metrics=("throughput",),
-    )
+        rows.append((f"stenning D={domain}", goodput, f"{cap:.2f}"))
+        data[f"stenning_{domain}"] = goodput
     rows.append(
-        (f"blockack D=2w={2 * WINDOW}", ba["throughput"].mean, "window-bound only")
+        (f"blockack D=2w={2 * WINDOW}", goodputs[-1], "window-bound only")
     )
-    data["blockack"] = ba["throughput"].mean
+    data["blockack"] = goodputs[-1]
 
     table = render_table(
         ["protocol / domain", "goodput", "predicted cap D/reuse"],

@@ -107,11 +107,9 @@ def sched_from_env() -> Optional[str]:
 class RunConfig:
     """One independent protocol run, described declaratively.
 
-    This is the picklable mirror of a
-    :func:`repro.experiments.common.run_protocol` call: the protocol pair
-    is built by name through the registry inside the worker, the source
-    is greedy, and the channels come from the two :class:`LinkSpec`
-    descriptions.  ``fault_plan`` (if any) is treated as a template and
+    Everything in it is picklable: the protocol pair is built by name
+    through the registry inside the worker, the source is greedy, and
+    the channels come from the two :class:`LinkSpec` descriptions.  ``fault_plan`` (if any) is treated as a template and
     deep-copied before each run so its mutable state (rng, counters)
     never leaks between runs or processes.
     """

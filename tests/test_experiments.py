@@ -7,7 +7,6 @@ from repro.experiments.common import (
     jitter_link,
     longtail_link,
     lossy_link,
-    run_protocol,
 )
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -55,14 +54,6 @@ class TestLinks:
     def test_negative_spread_rejected(self):
         with pytest.raises(ValueError):
             jitter_link(-1.0)
-
-
-class TestRunProtocol:
-    def test_returns_transfer_result(self):
-        result = run_protocol(
-            "blockack", 4, 50, fifo_link(), fifo_link(), seed=1
-        )
-        assert result.completed and result.in_order
 
 
 @pytest.mark.slow
