@@ -6,7 +6,10 @@ the *identical* `BlockAckSender` / `BlockAckReceiver` objects, binds them
 to two loopback UDP sockets through the wall-clock scheduler
 (`repro.transport`), injects egress loss (loopback itself doesn't lose),
 and ships a thousand datagrams exactly-once, in-order, with 16 wire
-sequence numbers — for real, in milliseconds of wall time.
+sequence numbers — for real.  The lossless run takes milliseconds of
+wall time.  With loss it takes seconds, because each lost datagram or
+ack waits out the 50 ms safe timeout before it is resent: on a 2-core
+VM, about 4 s at 5% loss and 10 s at 15%, almost all of it idle.
 
 Run:  python examples/udp_realtime.py
 """

@@ -183,8 +183,8 @@ class ReplaySource(Source):
 class BurstySource(Source):
     """On/off traffic: bursts of ``burst_size`` arrivals, then silence.
 
-    Bursts are where block acknowledgment shines (one ack per burst), so
-    this source is the E4 ack-overhead workload.
+    Bursts are where block acknowledgment shines (one ack per burst);
+    ``examples/ack_policy_tuning.py`` drives it to compare ack policies.
     """
 
     def __init__(self, total: int, burst_size: int, gap: float) -> None:
