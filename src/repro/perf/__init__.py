@@ -2,7 +2,7 @@
 
 * :mod:`repro.perf.sweep` — :class:`SweepRunner` / :func:`run_protocol_grid`
   fan independent protocol runs across a process pool and merge results
-  deterministically; the sweep-heavy experiments (E3, E10, E12, E13, E14)
+  deterministically; the sweep experiments (E2–E4, E6, E10 and E12–E17)
   route through it.
 * :mod:`repro.perf.cache` — on-disk memoization of completed runs under
   ``results/cache/``, keyed by a stable hash of the full configuration.
