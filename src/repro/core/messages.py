@@ -10,30 +10,38 @@ never inspects it.  Acknowledgments come in two shapes:
 * :class:`CumulativeAck` — the traditional go-back-N acknowledgment: a
   single number meaning "everything up to and including this".
 
+:class:`SackAck` (TCP-SACK's cumulative ack plus blocks) and the link
+layer's wrappers, :class:`FlowEnvelope` and :class:`DuplexFrame`, live
+here too, so the byte codec of :mod:`repro.wire.codec` can frame every
+message kind without importing the packages that send them.
+
 All message types are frozen dataclasses: channel code treats messages as
 immutable values, so a retransmission is a *new* message object and the
 in-flight multiset semantics of the paper carry over unchanged.  The
 dataclass machinery supplies equality, hashing, ``repr``, ``fields`` and
 ``replace``, and assignment raises ``FrozenInstanceError``.
 
-Every frame a transfer sends builds one of these values, so each type
-has a hand-written ``__init__`` with the generated one's parameters that
-fills ``self.__dict__`` directly; the generated frozen ``__init__`` pays
-one ``object.__setattr__`` call per field.  They are deliberately not
-``NamedTuple``s: tuple equality would make ``BlockAck(1, 2)`` equal to
-``(1, 2, False)`` and to any other wire type with the same fields.
+Every frame a transfer sends builds one of these values, so the data,
+ack and envelope types have a hand-written ``__init__`` with the
+generated one's parameters that fills ``self.__dict__`` directly; the
+generated frozen ``__init__`` pays one ``object.__setattr__`` call per
+field.  They are deliberately not ``NamedTuple``s: tuple equality would
+make ``BlockAck(1, 2)`` equal to ``(1, 2, False)`` and to any other wire
+type with the same fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional, Tuple
 
 __all__ = [
     "DataMessage",
     "BlockAck",
     "CumulativeAck",
+    "SackAck",
     "FlowEnvelope",
+    "DuplexFrame",
     "is_data",
     "is_ack",
 ]
@@ -130,6 +138,23 @@ class CumulativeAck:
         return f"CACK({self.seq})"
 
 
+@dataclass(frozen=True)
+class SackAck:
+    """Cumulative acknowledgment plus selective-acknowledgment blocks.
+
+    ``cum`` acknowledges everything ``<= cum`` (-1 when nothing in-order
+    has arrived yet); ``blocks`` are disjoint ``(lo, hi)`` ranges of
+    buffered out-of-order data, most relevant first.
+    """
+
+    cum: int
+    blocks: Tuple[Tuple[int, int], ...] = ()
+
+    def __str__(self) -> str:
+        blocks = ",".join(f"{lo}-{hi}" for lo, hi in self.blocks)
+        return f"SACK(cum={self.cum}{';' + blocks if blocks else ''})"
+
+
 @dataclass(frozen=True, init=False)
 class FlowEnvelope:
     """A flow-tagged wrapper around one protocol message on a shared link.
@@ -165,6 +190,18 @@ class FlowEnvelope:
 
     def __str__(self) -> str:
         return f"f{self.flow}:{self.message}"
+
+
+@dataclass(frozen=True)
+class DuplexFrame:
+    """One frame on a duplex link: data, acknowledgment, or both."""
+
+    data: Optional[DataMessage] = None
+    ack: Optional[BlockAck] = None
+
+    def __str__(self) -> str:
+        parts = [str(p) for p in (self.data, self.ack) if p is not None]
+        return "+".join(parts) if parts else "EMPTY"
 
 
 def is_data(message: Any) -> bool:

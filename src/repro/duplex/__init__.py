@@ -1,6 +1,5 @@
 """Full-duplex operation: two paper protocols plus piggybacked acks."""
 
-from repro.duplex.codec import decode_frame, encode_frame
 from repro.duplex.endpoint import (
     DuplexEndpoint,
     DuplexFrame,
@@ -17,6 +16,4 @@ __all__ = [
     "DuplexResult",
     "run_duplex",
     "duplex_over_udp",
-    "encode_frame",
-    "decode_frame",
 ]

@@ -33,10 +33,9 @@ the window's acknowledgment cursor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Optional, Set, Tuple
 
-from repro.core.messages import DataMessage
+from repro.core.messages import DataMessage, SackAck
 from repro.core.window import ReceiverWindow, SenderWindow
 from repro.protocols.window_core import WindowedReceiver, WindowedSender
 from repro.trace.events import EventKind
@@ -48,23 +47,6 @@ DUP_ACK_THRESHOLD = 3
 
 #: TCP carries at most 3 SACK blocks alongside a timestamp option
 MAX_SACK_BLOCKS = 3
-
-
-@dataclass(frozen=True)
-class SackAck:
-    """Cumulative acknowledgment plus selective-acknowledgment blocks.
-
-    ``cum`` acknowledges everything ``<= cum`` (-1 when nothing in-order
-    has arrived yet); ``blocks`` are disjoint ``(lo, hi)`` ranges of
-    buffered out-of-order data, most relevant first.
-    """
-
-    cum: int
-    blocks: Tuple[Tuple[int, int], ...] = ()
-
-    def __str__(self) -> str:
-        blocks = ",".join(f"{lo}-{hi}" for lo, hi in self.blocks)
-        return f"SACK(cum={self.cum}{';' + blocks if blocks else ''})"
 
 
 class SackSender(WindowedSender):

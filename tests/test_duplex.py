@@ -183,10 +183,10 @@ class TestDuplexTransfers:
                 return f"m{len(self.submitted):04d}".encode()
 
         a, b = make_endpoints()
-        # NOTE: duplex frames are composite objects; the byte codec frames
-        # flat messages, so duplex links use plain channels here
         link = lambda: LinkSpec(
-            delay=UniformDelay(0.5, 1.5), loss=BernoulliLoss(0.1)
+            delay=UniformDelay(0.5, 1.5),
+            loss=BernoulliLoss(0.1),
+            bit_error_rate=1e-3,
         )
         result = run_duplex(
             a, b, ByteSource(150), ByteSource(150),

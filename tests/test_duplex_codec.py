@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.messages import BlockAck, DataMessage
-from repro.duplex.codec import decode_frame, encode_frame
 from repro.duplex.endpoint import DuplexFrame
 from repro.duplex.runner import duplex_over_udp
 from repro.wire.codec import CorruptFrame, FrameError
+from repro.wire.codec import decode_message as decode_frame
+from repro.wire.codec import encode_message as encode_frame
 
 
 class TestCodecRoundTrip:

@@ -1,15 +1,25 @@
 """Tests for the byte-level wire codec and framed channels."""
 
 import random
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.channel.channel import Channel
 from repro.channel.delay import ConstantDelay, UniformDelay
-from repro.core.messages import BlockAck, DataMessage
+from repro.core.messages import (
+    BlockAck,
+    CumulativeAck,
+    DataMessage,
+    DuplexFrame,
+    FlowEnvelope,
+    SackAck,
+)
 from repro.core.numbering import ModularNumbering
 from repro.protocols.blockack import BlockAckReceiver, BlockAckSender
+from repro.protocols.registry import make_pair, protocol_names
 from repro.sim.runner import LinkSpec, run_transfer
 from repro.wire.codec import (
     MAX_WIRE_SEQ,
@@ -71,6 +81,68 @@ class TestCodecRoundTrip:
     )
     def test_ack_roundtrip_property(self, lo, hi):
         assert decode_message(encode_message(BlockAck(lo, hi))) == BlockAck(lo, hi)
+
+
+def _wrap(frame_type, field_a, field_b, payload):
+    """A CRC-valid frame with any header, built without the encoder."""
+    body = struct.pack(">BHHH", frame_type, field_a, field_b, len(payload))
+    return body + payload + struct.pack(">I", zlib.crc32(body + payload))
+
+
+class TestFrameTypes:
+    @pytest.mark.parametrize(
+        "frame_type, message",
+        [
+            (0x01, DataMessage(seq=5, payload=b"hello", attempt=2)),
+            (0x02, BlockAck(lo=14, hi=1)),
+            (0x03, FlowEnvelope(flow=7, fseq=3, message=BlockAck(0, 2))),
+            (0x04, DuplexFrame(data=DataMessage(seq=1, payload=b"d"), ack=BlockAck(2, 4))),
+            (0x05, CumulativeAck(seq=12)),
+            (0x06, SackAck(cum=-1, blocks=((3, 5), (8, 8)))),
+        ],
+        ids=["data", "block-ack", "envelope", "duplex", "cumulative-ack", "sack"],
+    )
+    def test_each_kind_has_its_own_type_byte(self, frame_type, message):
+        frame = encode_message(message)
+        assert frame[0] == frame_type
+        assert decode_message(frame) == message
+
+    def test_sack_without_blocks_round_trips(self):
+        assert decode_message(encode_message(SackAck(cum=40))) == SackAck(cum=40)
+
+    def test_nested_envelopes_are_damage_not_recursion(self):
+        # 3,000 CRC-valid envelopes around one ack: the mux never nests
+        # envelopes, so a second level is rejected before it is decoded
+        frame = encode_message(BlockAck(0, 0))
+        for _ in range(3000):
+            frame = _wrap(0x03, 0, 0, frame)
+        with pytest.raises(CorruptFrame):
+            decode_message(frame)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            _wrap(0x03, 1, 0, encode_message(FlowEnvelope(2, 0, BlockAck(0, 0)))),
+            _wrap(0x03, 1, 0, encode_message(DuplexFrame(ack=BlockAck(0, 0)))),
+            _wrap(0x04, 0, 0, b""),
+            _wrap(0x04, 11, 0, encode_message(BlockAck(0, 0))),
+            _wrap(0x04, 0, 11, encode_message(DataMessage(seq=0))),
+        ],
+        ids=[
+            "envelope-in-envelope",
+            "duplex-in-envelope",
+            "empty-duplex",
+            "ack-as-data-part",
+            "data-as-ack-part",
+        ],
+    )
+    def test_only_flat_frames_of_the_right_kind_nest(self, frame):
+        with pytest.raises(CorruptFrame):
+            decode_message(frame)
+
+    def test_nested_envelope_cannot_be_encoded(self):
+        with pytest.raises(FrameError):
+            encode_message(FlowEnvelope(1, 0, FlowEnvelope(2, 0, BlockAck(0, 0))))
 
 
 class TestCodecValidation:
@@ -224,6 +296,23 @@ class TestEndToEndOverNoise:
             f"chunk-{i:05d}".encode() for i in range(300)
         ]
         assert result.sender_stats["retransmissions"] > 0  # noise did bite
+
+    @pytest.mark.parametrize("name", protocol_names())
+    def test_every_protocol_completes_over_bit_errors(self, name):
+        class WideSource(_ByteSource):
+            def _make_payload(self):
+                return super()._make_payload().ljust(100, b".")
+
+        sender, receiver = make_pair(name, window=4)
+        link = lambda: LinkSpec(
+            delay=UniformDelay(0.5, 1.5), max_lifetime=1.5, bit_error_rate=1e-4
+        )
+        result = run_transfer(
+            sender, receiver, WideSource(300),
+            forward=link(), reverse=link(), seed=1,
+        )
+        assert result.completed and result.in_order
+        assert result.forward_stats["discarded"] > 0  # noise did bite
 
     def test_timeout_derivation_through_framing(self):
         sender = BlockAckSender(4)
