@@ -3,6 +3,7 @@
 from repro.workloads.sources import (
     BurstySource,
     GreedySource,
+    ListSource,
     PoissonSource,
     ReplaySource,
     Source,
@@ -11,6 +12,7 @@ from repro.workloads.sources import (
 __all__ = [
     "Source",
     "GreedySource",
+    "ListSource",
     "PoissonSource",
     "BurstySource",
     "ReplaySource",

@@ -24,6 +24,7 @@ from repro.sim.engine import Simulator
 __all__ = [
     "Source",
     "GreedySource",
+    "ListSource",
     "PoissonSource",
     "BurstySource",
     "ReplaySource",
@@ -102,6 +103,17 @@ class GreedySource(Source):
         total = self.total
         while len(submitted) < total and sender.can_accept:
             self._submit_one()
+
+
+class ListSource(GreedySource):
+    """Greedy source that submits the given payloads, in order."""
+
+    def __init__(self, payloads: Iterable[Any]) -> None:
+        self.payloads = list(payloads)
+        super().__init__(len(self.payloads))
+
+    def _make_payload(self) -> Any:
+        return self.payloads[len(self.submitted)]
 
 
 class PoissonSource(Source):

@@ -9,6 +9,7 @@ from repro.sim.runner import run_transfer
 from repro.workloads.sources import (
     BurstySource,
     GreedySource,
+    ListSource,
     PoissonSource,
     ReplaySource,
 )
@@ -51,6 +52,20 @@ class TestGreedySource:
     def test_negative_total_rejected(self):
         with pytest.raises(ValueError):
             GreedySource(-1)
+
+
+class TestListSource:
+    def test_submits_the_list_in_order(self):
+        payloads = [b"x%d" % i for i in range(30)]
+        source = ListSource(iter(payloads))  # any iterable, read once
+        result = run_source(source, w=4)
+        assert source.total == 30 and source.exhausted
+        assert source.submitted == payloads
+        assert result.completed and result.in_order
+
+    def test_empty_list(self):
+        result = run_source(ListSource([]))
+        assert result.completed and result.delivered == 0
 
 
 class TestPoissonSource:
