@@ -358,6 +358,14 @@ def _pinned_configs():
         "drr4": RunConfig(
             **{**_PIN_BASE, "total": 40}, flows=4, link_rate=2.0, sched="drr"
         ),
+        "fifo4": RunConfig(
+            **{**_PIN_BASE, "total": 40}, flows=4, link_rate=2.0,
+            sched="fifo", flow_windows=(2, 4, 8, 16),
+        ),
+        "wrr4": RunConfig(
+            **{**_PIN_BASE, "total": 40}, flows=4, link_rate=2.0,
+            sched="wrr", flow_weights=(3.0, 1.0, 2.0, 1.0),
+        ),
     }
 
 
@@ -377,6 +385,10 @@ class TestResultPins:
                         "028c8016f8dcd1b6c345e6a70d8ee41f",
         "drr4": "28e43074559a1c15365e8e173e75ca21"
                 "2ba9b3f5914cfad1bd1860118139d167",
+        "fifo4": "89fec92a5370b91515fd4b3b8d955016"
+                 "eaa3768053d9184e6cd0e438cc8ab3a6",
+        "wrr4": "53ce87853112f8470f61f74226c52085"
+                "c6380e5e9ee41090f633b2e99069879b",
     }
 
     @pytest.mark.parametrize("name", sorted(RESULT_DIGESTS))
@@ -397,6 +409,31 @@ class TestResultPins:
         assert _digest(serialize_result(result)) == (
             "b2bcbc3c2e5e5ed318c9094dda3427fd"
             "2cb69dde4ae5e12add66444fdd16240e"
+        )
+
+    def test_two_flow_framed_session_digest(self):
+        # the mux over checksummed byte frames: envelopes decoded from
+        # the wire carry their per-flow counter mod 2**16
+        def link():
+            return LinkSpec(
+                delay=UniformDelay(0.5, 1.5), max_lifetime=8.0,
+                bit_error_rate=2e-4,
+            )
+
+        flows = [
+            FlowSpec(*make_pair("blockack", window=window), _ByteSource(120))
+            for window in (4, 8)
+        ]
+        session = run_flows(
+            flows, forward=link(), reverse=link(), seed=5,
+            monitor_invariants=True,
+        )
+        assert session.completed and session.in_order
+        assert session.forward_stats["discarded"] > 0
+        assert all(flow.forward_stats["reordered"] > 0 for flow in session.flows)
+        assert _digest(serialize_result(session_to_transfer(session))) == (
+            "3c4b15b190d50553a6b43b76a75901e7"
+            "f98a5a96a079b7a92fb007c20b418d07"
         )
 
     def test_single_flow_obs_causal_export_digest(self, tmp_path):
