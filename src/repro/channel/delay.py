@@ -99,7 +99,8 @@ class UniformDelay(DelayModel):
         self.high = high
 
     def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
+        # random.uniform's own formula, without its call
+        return self.low + (self.high - self.low) * rng.random()
 
     @property
     def max_delay(self) -> float:

@@ -496,12 +496,14 @@ class SessionHost:
         # is: amortized O(1) per event for any number of flows.  A
         # finished flow stays finished in a muxed session (fault plans,
         # the only thing that could rewind it, are rejected there), and
-        # a one-flow drain stops at its first finished check.
-        pending = list(self.flows)
+        # a one-flow drain stops at its first finished check.  A source
+        # still submitting answers first, without the full test.
+        pending = [(flow, flow.spec.source) for flow in self.flows]
 
         def unfinished() -> bool:
             while pending:
-                if not pending[-1].finished:
+                flow, source = pending[-1]
+                if len(source.submitted) < source.total or not flow.finished:
                     return True
                 pending.pop()
             return False

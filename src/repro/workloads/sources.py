@@ -70,9 +70,12 @@ class Source(ABC):
         return ("msg", len(self.submitted))
 
     def _submit_one(self) -> None:
+        sender = self.sender
+        if sender is None:
+            raise RuntimeError("source used before attach()")
         payload = self._make_payload()
         self.submitted.append(payload)
-        self._bound_sender.submit(payload)
+        sender.submit(payload)
 
     @abstractmethod
     def _start(self) -> None:
