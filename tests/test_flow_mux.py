@@ -187,6 +187,37 @@ class _VariableDelay:
         return 1.0
 
 
+class TestReorderMarkAcrossTheWrap:
+    """Framed links carry ``fseq`` mod 2**16; reorder marks compare so."""
+
+    @staticmethod
+    def port_near_the_wrap(sim, framed, delays=()):
+        channel = Channel(sim, delay=_VariableDelay(delays), rng=random.Random(1))
+        port = FlowMux(FramedChannel(channel, 0.0) if framed else channel).port(0)
+        port.connect(lambda message: None)
+        port._next_fseq = 0xFFFF - 5  # six frames short of the wrap
+        return port
+
+    @pytest.mark.parametrize("framed", [True, False], ids=["framed", "plain"])
+    def test_in_order_frames_across_the_wrap_count_no_reorder(self, sim, framed):
+        port = self.port_near_the_wrap(sim, framed)
+        for seq in range(12):
+            port.send(DataMessage(seq=seq, payload=b"x"))
+        sim.run()
+        assert port.stats.delivered == 12
+        assert port.stats.reordered == 0
+
+    @pytest.mark.parametrize("framed", [True, False], ids=["framed", "plain"])
+    def test_an_overtake_across_the_wrap_counts_once(self, sim, framed):
+        # the last frame before the wrap arrives after two past it
+        port = self.port_near_the_wrap(sim, framed, [1.0] * 5 + [3.0])
+        for seq in range(8):
+            port.send(DataMessage(seq=seq, payload=b"x"))
+        sim.run()
+        assert port.stats.delivered == 8
+        assert port.stats.reordered == 1
+
+
 class TestFramedTransit:
     def test_envelopes_cross_a_framed_link(self, sim):
         framed = FramedChannel(_channel(sim), 0.0)
