@@ -128,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_p.add_argument(
         "--profile", action="store_true",
-        help="cProfile the transfer micro and dump the hottest functions "
-        "to results/profile/ (transfer.prof + transfer.txt)",
+        help="cProfile the transfer micro and an arbitrated 16-flow session "
+        "and dump the hottest functions to results/profile/ "
+        "(transfer.prof + transfer.txt, session.prof + session.txt)",
     )
 
     obs_p = sub.add_parser(
@@ -513,7 +514,10 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     output = args.output if args.output else f"BENCH_{mode}.json"
 
     if args.profile:
-        print(f"profiling transfer micro (scale={args.scale}) ...")
+        print(
+            f"profiling transfer micro and arbitrated session "
+            f"(scale={args.scale}) ..."
+        )
         written = run_profile(pathlib.Path("results/profile"), scale=args.scale)
         for path in written:
             print(f"  wrote {path}")

@@ -4,7 +4,8 @@ Three cooperating pieces:
 
 * :func:`run_microbenchmarks` — repeated-timing measurements of the hot
   paths (engine events/sec on a chained and a heap-heavy workload, the
-  channel transit path, and a full end-to-end block-ack transfer);
+  channel transit path, a full end-to-end block-ack transfer, and a
+  saturated 16-flow session behind the link arbiter);
 * :func:`update_bench_json` — merge measurements into a machine-readable
   ``BENCH_<mode>.json`` file (the perf trajectory artifact: the CLI
   writes the ``micro`` section, the benchmark suite's conftest writes the
@@ -203,6 +204,39 @@ def _multiflow_session(total_per_flow: int, flows: int = 8) -> int:
     return session.delivered
 
 
+#: virtual time of the arbitrated-session micro at scale 1, tu
+_SESSION_HORIZON = 200.0
+
+
+def _arbitrated_session(horizon: float) -> int:
+    """One saturated 16-flow DRR session; returns deliveries.
+
+    The benchmark's ``shared-16`` shape cut to ``horizon`` tu:
+    ``blockack`` windows ``(4, 8, 16, 32) * 4`` with a 12 tu timeout,
+    ``UniformDelay(0.5, 1.5)`` links with 2% loss each way, and a rate-8
+    DRR arbiter with 64-frame queues under more offered load than the
+    horizon admits, so the mux, the arbiter and the multi-flow drain do
+    the work.
+    """
+    from repro.channel.arbiter import ArbiterConfig
+    from repro.channel.delay import UniformDelay
+    from repro.channel.impairments import BernoulliLoss
+    from repro.sim.host import mixed_flows, run_flows
+    from repro.sim.runner import LinkSpec
+
+    link = lambda: LinkSpec(delay=UniformDelay(0.5, 1.5), loss=BernoulliLoss(0.02))
+    session = run_flows(
+        mixed_flows("blockack", (4, 8, 16, 32) * 4, 10_000, timeout_period=12.0),
+        forward=link(),
+        reverse=link(),
+        seed=1,
+        max_time=horizon,
+        arbiter=ArbiterConfig(rate=8.0, scheduler="drr", queue_limit=64),
+    )
+    assert all(flow.ordered_prefix for flow in session.flows)
+    return session.delivered
+
+
 def _scaling_cell(window: int, total: int) -> int:
     """One ``blockack`` cell of the window-scaling grid; returns deliveries.
 
@@ -242,6 +276,8 @@ def run_microbenchmarks(scale: int = 1, repeats: int = 3) -> Dict[str, float]:
     (scheduling untimed).  ``scaling_blockack_w*`` are the w=64 and
     w=4096 ``blockack`` cells of the window-scaling grid (ROADMAP item
     6); their ratio is the per-message cost that grows with the window.
+    ``arbitrated_session_*`` is the shared-link path: mux, arbiter and
+    the multi-flow drain on top of the transfer's endpoints.
     """
     n_events = 100_000 * scale
     n_msgs = 20_000 * scale
@@ -268,6 +304,9 @@ def run_microbenchmarks(scale: int = 1, repeats: int = 3) -> Dict[str, float]:
     # the flow-multiplexing tax
     metrics["multiflow_session_msgs_per_sec"] = _best_rate(
         lambda: _multiflow_session(max(1, n_transfer // 8), flows=8), repeats
+    )
+    metrics["arbitrated_session_msgs_per_sec"] = _best_rate(
+        lambda: _arbitrated_session(_SESSION_HORIZON * scale), repeats
     )
     metrics["scaling_blockack_w64_msgs_per_sec"] = _best_rate(
         lambda: _scaling_cell(64, 6_000 * scale), repeats
@@ -356,35 +395,56 @@ def run_profile(
     scale: int = 1,
     top: int = 30,
 ) -> List[pathlib.Path]:
-    """cProfile the end-to-end transfer micro.
+    """cProfile the transfer micro and one arbitrated 16-flow session.
 
     Writes a raw ``transfer.prof`` (loadable with :mod:`pstats` or
     snakeviz) and a ``transfer.txt`` whose header gives the function
     calls per delivered message (a deterministic count of the
     per-message path's length), followed by the ``top`` hottest
-    functions by cumulative and by internal time.  Returns the written
-    paths.
+    functions by cumulative and by internal time; ``session.prof`` and
+    ``session.txt`` do the same for the shared-link path (the
+    ``shared-16`` shape at a quick horizon).  Returns the written paths.
     """
+    outdir = pathlib.Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    # warm imports/caches outside each profile
+    _transfer(50)
+    written = _profile(
+        lambda: _transfer(1_000 * scale)[0],
+        outdir, "transfer", "blockack transfer micro", top,
+    )
+    _arbitrated_session(10.0)
+    written += _profile(
+        lambda: _arbitrated_session(_SESSION_HORIZON * scale),
+        outdir, "session", "arbitrated 16-flow DRR session", top,
+    )
+    return written
+
+
+def _profile(
+    work: Callable[[], int],
+    outdir: pathlib.Path,
+    stem: str,
+    title: str,
+    top: int,
+) -> List[pathlib.Path]:
+    """Profile ``work`` (returns deliveries) into ``<stem>.prof``/``.txt``."""
     import cProfile
     import io
     import pstats
 
-    outdir = pathlib.Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    n_transfer = 1_000 * scale
-    _transfer(50)  # warm imports/caches outside the profile
     profiler = cProfile.Profile()
     profiler.enable()
-    delivered, _ = _transfer(n_transfer)
+    delivered = work()
     profiler.disable()
 
-    prof_path = outdir / "transfer.prof"
+    prof_path = outdir / f"{stem}.prof"
     profiler.dump_stats(prof_path)
 
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     buffer.write(
-        f"cProfile: blockack transfer micro, {delivered} messages delivered\n"
+        f"cProfile: {title}, {delivered} messages delivered\n"
         "function calls per delivered message: "
         f"{stats.total_calls / delivered:.1f}\n\n"
     )
@@ -394,7 +454,7 @@ def run_profile(
     stats.sort_stats("tottime")
     buffer.write(f"--- top {top} by internal time ---\n")
     stats.print_stats(top)
-    txt_path = outdir / "transfer.txt"
+    txt_path = outdir / f"{stem}.txt"
     txt_path.write_text(buffer.getvalue())
     return [prof_path, txt_path]
 

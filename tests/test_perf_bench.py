@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.perf.bench import (
+    _arbitrated_session,
     _channel_transit,
     _engine_chain,
     _engine_fanout,
@@ -118,6 +119,12 @@ class TestWorkloads:
     def test_scaling_cell_delivers_everything(self):
         assert _scaling_cell(16, 120) == 120
 
+    def test_arbitrated_session_engines_agree(self, monkeypatch):
+        # the session itself checks that every flow delivers in order
+        delivered = _arbitrated_session(20.0)
+        use_engine(monkeypatch, "fast")
+        assert _arbitrated_session(20.0) == delivered > 0
+
 
 def test_obs_overhead_measures_obs_and_causal_together():
     report = run_obs_overhead(scale=1, repeats=1)
@@ -139,12 +146,15 @@ def test_obs_overhead_measures_obs_and_causal_together():
 def test_run_profile_writes_dumps(tmp_path):
     written = run_profile(tmp_path, scale=1, top=5)
     names = sorted(p.name for p in written)
-    assert names == ["transfer.prof", "transfer.txt"]
-    report = (tmp_path / "transfer.txt").read_text()
-    assert "messages delivered" in report
-    header = report.splitlines()[1]
-    label, _, value = header.partition(": ")
-    assert label == "function calls per delivered message"
-    assert 0 < float(value) < 1000
-    assert "cumulative" in report and "internal" in report
-    assert (tmp_path / "transfer.prof").stat().st_size > 0
+    assert names == [
+        "session.prof", "session.txt", "transfer.prof", "transfer.txt"
+    ]
+    for stem in ("transfer", "session"):
+        report = (tmp_path / f"{stem}.txt").read_text()
+        assert "messages delivered" in report
+        header = report.splitlines()[1]
+        label, _, value = header.partition(": ")
+        assert label == "function calls per delivered message"
+        assert 0 < float(value) < 1000
+        assert "cumulative" in report and "internal" in report
+        assert (tmp_path / f"{stem}.prof").stat().st_size > 0
