@@ -356,10 +356,10 @@ class MetricsRegistry:
 class TextExposition:
     """Render a metrics snapshot in the Prometheus text format.
 
-    Used by the UDP transport (live counters on a real socket pair) and
-    by ``blockack obs summarize --text``.  Works from the JSON snapshot,
-    not the live registry, so it can also render snapshots read back
-    from a ``.jsonl`` export.
+    Used by :meth:`MetricsRegistry.render_text` and by ``blockack obs
+    summarize --text``.  Works from the JSON snapshot, not the live
+    registry, so it can also render snapshots read back from a
+    ``.jsonl`` export.
     """
 
     @staticmethod
@@ -411,22 +411,3 @@ class TextExposition:
                         f"{name}{plain} {self._format_value(sample['value'])}"
                     )
         return "\n".join(lines) + ("\n" if lines else "")
-
-    @staticmethod
-    def render_counters(
-        prefix: str, counters: dict, labels: Optional[dict] = None
-    ) -> str:
-        """Render a flat ``{name: value}`` dict as prefixed counters.
-
-        The convenience path for stats objects that predate the registry
-        (``TransportStats``, ``ChannelStats``): no registry needed.
-        """
-        snapshot = {
-            f"{prefix}_{key}_total": {
-                "type": "counter",
-                "help": "",
-                "samples": [{"labels": dict(labels or {}), "value": value}],
-            }
-            for key, value in counters.items()
-        }
-        return TextExposition().render(snapshot)

@@ -116,20 +116,6 @@ class UdpTransport:
     def set_remote(self, remote: Address) -> None:
         self.remote = remote
 
-    def metrics_text(self, labels: Optional[dict] = None) -> str:
-        """Live counters in the Prometheus text exposition format.
-
-        Rendered by :class:`repro.obs.metrics.TextExposition` from the
-        same ``TransportStats`` the properties above read, so a real
-        socket pair can be scraped (or logged) mid-session; ``labels``
-        adds context such as the endpoint role or the peer address.
-        """
-        from repro.obs.metrics import TextExposition  # cycle guard
-
-        return TextExposition.render_counters(
-            "udp_transport", self.stats.as_dict(), labels
-        )
-
     # -- the channel surface the endpoints expect ---------------------------
 
     def connect(self, receiver: Callable[[Any], None]) -> None:

@@ -4,11 +4,7 @@ import math
 
 import pytest
 
-from repro.obs.metrics import (
-    COUNT_BUCKETS,
-    MetricsRegistry,
-    TextExposition,
-)
+from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
 
 
 class TestCounter:
@@ -143,10 +139,3 @@ class TestTextExposition:
         counter = registry.counter("c", labelnames=("z", "a"))
         counter.labels(z="1", a="2").inc()
         assert 'c{a="2",z="1"} 1' in registry.render_text()
-
-    def test_render_counters_convenience(self):
-        text = TextExposition.render_counters(
-            "udp", {"sent": 3, "received": 2}, labels={"side": "client"}
-        )
-        assert 'udp_sent_total{side="client"} 3' in text
-        assert 'udp_received_total{side="client"} 2' in text
