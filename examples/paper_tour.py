@@ -65,7 +65,7 @@ def section_3_the_invariant() -> None:
     banner("§III — assertions 6-8 (and 9-11) hold in every reachable state")
     for mode in ("simple", "per_message"):
         model = AbstractProtocolModel(
-            window=2, max_send=4, timeout_mode=mode, allow_loss=True
+            window=2, timeout_mode=mode, allow_loss=True
         )
         report = Explorer(model, stop_at_first_violation=False).run()
         print(f"  {mode:12s} -> {report.summary()}")

@@ -22,8 +22,9 @@ Subcommands
     concurrent flows of the protocol over one shared link pair and
     prints per-flow results (see :mod:`repro.sim.host`).
 
-``blockack check --window 2 --max-send 4 [--timeout-mode simple]``
-    Model-check the abstract protocol exhaustively and print the report.
+``blockack check --window 2 [--timeout-mode simple]``
+    Model-check every execution of the abstract protocol and print the
+    report: the invariant, deadlocks, the in-transit ranges and progress.
 
 ``blockack obs export|summarize|diff``
     Telemetry (:mod:`repro.obs`): ``export`` runs one observed transfer
@@ -237,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="model-check the abstract protocol")
     chk.add_argument("--window", type=int, default=2)
-    chk.add_argument("--max-send", type=int, default=4)
     chk.add_argument(
         "--timeout-mode", default="simple",
         choices=("simple", "per_message", "impatient"),
@@ -646,18 +646,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     model = AbstractProtocolModel(
         window=args.window,
-        max_send=args.max_send,
         timeout_mode=args.timeout_mode,
         allow_loss=not args.no_loss,
     )
     explorer = Explorer(model, stop_at_first_violation=False)
     report = explorer.run()
     print(report.summary())
+    print(
+        f"in transit: data - nr in {report.data_range}, "
+        f"ack bounds - na in {report.ack_range}, "
+        f"at most {report.max_channel_occupancy} messages"
+    )
     if report.invariant_violations:
         state, clauses = report.invariant_violations[0]
         print("\nfirst violation:", "; ".join(clauses))
         print("witness trace:")
         for line in explorer.witness(state):
+            print(f"  {line}")
+    if report.stall_cycle:
+        print("\nloss-free cycle that leaves na in place, witness trace:")
+        for line in report.stall_cycle:
             print(f"  {line}")
     return 0 if report.ok else 1
 

@@ -1,7 +1,7 @@
 """Formal model of the paper's protocol and an explicit-state model checker."""
 
 from repro.verify.actions import TIMEOUT_MODES, AbstractProtocolModel, Transition
-from repro.verify.explorer import Explorer, ExplorationReport, RandomWalker, WalkReport
+from repro.verify.explorer import Explorer, ExplorationReport
 from repro.verify.faulty import GbnViolation, NaiveGbnReceiver, NaiveGbnSender
 from repro.verify.invariants import (
     InvariantViolation,
@@ -31,8 +31,6 @@ __all__ = [
     "TIMEOUT_MODES",
     "Explorer",
     "ExplorationReport",
-    "RandomWalker",
-    "WalkReport",
     "SystemState",
     "initial_state",
     "assertion_6",

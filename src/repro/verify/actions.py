@@ -2,8 +2,9 @@
 
 :class:`AbstractProtocolModel` is the Section-II/Section-IV system verbatim:
 six protocol actions (0-5) plus environment actions for message loss.
-Given a state it enumerates every enabled transition; the explorer and the
-randomized progress driver both consume that enumeration.
+Given a state it enumerates every enabled transition, in absolute numbers;
+the explorer consumes that enumeration, and keeps the unbounded protocol's
+reachable set finite by shifting every state by ``-na``.
 
 Timeout modes
 -------------
@@ -38,7 +39,7 @@ Timeout modes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.verify.state import SystemState, initial_state
 
@@ -67,9 +68,6 @@ class AbstractProtocolModel:
     ----------
     window:
         The paper's ``w``.
-    max_send:
-        Exploration bound: the sender stops allocating new sequence
-        numbers at this value, making the reachable state space finite.
     timeout_mode:
         One of :data:`TIMEOUT_MODES`; see module docstring.
     allow_loss:
@@ -80,38 +78,21 @@ class AbstractProtocolModel:
     def __init__(
         self,
         window: int,
-        max_send: int,
         timeout_mode: str = "simple",
         allow_loss: bool = True,
     ) -> None:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        if max_send < 0:
-            raise ValueError(f"max_send must be non-negative, got {max_send}")
         if timeout_mode not in TIMEOUT_MODES:
             raise ValueError(
                 f"timeout_mode must be one of {TIMEOUT_MODES}, got {timeout_mode!r}"
             )
         self.window = window
-        self.max_send = max_send
         self.timeout_mode = timeout_mode
         self.allow_loss = allow_loss
 
-    # ------------------------------------------------------------------
-
     def initial(self) -> SystemState:
         return initial_state()
-
-    def is_final(self, state: SystemState) -> bool:
-        """Everything sent, delivered, acknowledged; channels drained."""
-        return (
-            state.na == self.max_send
-            and state.ns == self.max_send
-            and state.nr == self.max_send
-            and state.vr == self.max_send
-            and not state.c_sr
-            and not state.c_rs
-        )
 
     # ------------------------------------------------------------------
     # transition enumeration
@@ -135,7 +116,7 @@ class AbstractProtocolModel:
     # -- action 0: send a new data message -------------------------------
 
     def _send(self, state: SystemState) -> Iterator[Transition]:
-        if state.ns < state.na + self.window and state.ns < self.max_send:
+        if state.ns < state.na + self.window:
             target = state.with_sr_added(state.ns).replace(ns=state.ns + 1)
             yield Transition("0:send", f"data {state.ns}", target)
 

@@ -25,7 +25,7 @@ states during exploration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Tuple
+from typing import Tuple
 
 __all__ = ["SystemState", "initial_state", "AckPair"]
 
@@ -101,6 +101,23 @@ class SystemState:
         if ackd != self.ackd or rcvd != self.rcvd:
             return replace(self, ackd=ackd, rcvd=rcvd)
         return self
+
+    def shifted(self, k: int) -> "SystemState":
+        """Every counter, record entry and in-transit number moved by ``k``.
+
+        The model is shift-invariant, so ``shifted(-na)`` maps every
+        reachable state into one finite set (:mod:`repro.verify.explorer`).
+        """
+        return SystemState(
+            na=self.na + k,
+            ns=self.ns + k,
+            nr=self.nr + k,
+            vr=self.vr + k,
+            ackd=frozenset(m + k for m in self.ackd),
+            rcvd=frozenset(m + k for m in self.rcvd),
+            c_sr=tuple(m + k for m in self.c_sr),
+            c_rs=tuple((lo + k, hi + k) for lo, hi in self.c_rs),
+        )
 
     # ------------------------------------------------------------------
 

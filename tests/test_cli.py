@@ -61,14 +61,13 @@ class TestCommands:
             assert main(["transfer", "--protocol", name, "--messages", "20"]) == 0
 
     def test_check_clean_protocol(self, capsys):
-        code = main(["check", "--window", "1", "--max-send", "2"])
+        code = main(["check", "--window", "1"])
         assert code == 0
         assert "OK" in capsys.readouterr().out
 
     def test_check_broken_protocol_fails_with_witness(self, capsys):
         code = main([
-            "check", "--window", "2", "--max-send", "3",
-            "--timeout-mode", "impatient",
+            "check", "--window", "2", "--timeout-mode", "impatient",
         ])
         assert code == 1
         out = capsys.readouterr().out

@@ -8,7 +8,9 @@ verified by explicit-state search instead of simulation.
 
 import pytest
 
+from repro.verify import convergence
 from repro.verify.convergence import (
+    CorruptionScenario,
     check_convergence,
     corrupt_scenarios,
     main,
@@ -108,7 +110,7 @@ class TestRepairState:
 
 class TestCorruptScenarios:
     def test_covers_the_runtime_sites(self):
-        scenarios = list(corrupt_scenarios(mid_flight_state(), 4, 6))
+        scenarios = list(corrupt_scenarios(mid_flight_state(), 4))
         sites = {s.site for s in scenarios}
         assert sites == {"sender.window", "sender.acks", "receiver.window"}
         assert len(scenarios) >= 8
@@ -117,7 +119,7 @@ class TestCorruptScenarios:
         state = mid_flight_state()
         unacked = sender_witness(state)
         buffered = receiver_witness(state)
-        for scenario in corrupt_scenarios(state, 4, 6):
+        for scenario in corrupt_scenarios(state, 4):
             again, repairs = repair_state(
                 scenario.repaired, 4, unacked, buffered
             )
@@ -125,9 +127,33 @@ class TestCorruptScenarios:
             assert again == scenario.repaired
 
 
+def wedged_state():
+    """w=1, per-message: 0 is accepted but recorded as acked at na=0.
+
+    No protocol action is enabled (the window is full, and timeout(0)
+    sees 0 acknowledged), and assertion 7 fails, so the state is a
+    terminal state outside the legitimate set.
+    """
+    return SystemState(
+        na=0, ns=1, nr=1, vr=1,
+        ackd=frozenset({0}), rcvd=frozenset(), c_sr=(), c_rs=(),
+    )
+
+
+def repaired_to(monkeypatch, repaired):
+    """Make every corruption scenario repair to ``repaired``."""
+    scenario = CorruptionScenario(
+        origin=repaired, site="test", detail="forced", corrupted=repaired,
+        repaired=repaired, repairs=(),
+    )
+    monkeypatch.setattr(
+        convergence, "corrupt_scenarios", lambda state, window: [scenario]
+    )
+
+
 class TestCheckConvergence:
     def test_tiny_system_has_no_divergence(self):
-        report = check_convergence(2, 2, timeout_mode="simple")
+        report = check_convergence(1, timeout_mode="simple")
         assert report.ok
         assert report.origins > 0
         assert report.scenarios > report.origins
@@ -137,12 +163,38 @@ class TestCheckConvergence:
     @pytest.mark.slow
     @pytest.mark.parametrize("mode", ["simple", "per_message"])
     def test_ci_configuration_converges(self, mode):
-        report = check_convergence(2, 3, timeout_mode=mode)
+        for window in (2, 3):
+            report = check_convergence(window, timeout_mode=mode)
+            assert report.ok, report.summary()
+            assert report.diverged == []
+            if window == 2:  # no fewer than the old send-bounded check
+                assert report.scenarios >= {"simple": 745, "per_message": 793}[mode]
+
+    def test_recovery_from_outside_the_legitimate_set(self, monkeypatch):
+        # two numbers outstanding in a window of one break assertion 6;
+        # timeouts resend both, and every loss-free execution reaches the
+        # legitimate set
+        repaired_to(monkeypatch, SystemState(
+            na=0, ns=2, nr=0, vr=0,
+            ackd=frozenset(), rcvd=frozenset(), c_sr=(), c_rs=(),
+        ))
+        report = check_convergence(1, timeout_mode="per_message")
         assert report.ok, report.summary()
-        assert report.diverged == []
+        assert report.already_legitimate == 0
+        assert report.states_explored > 0
+        assert report.transient_violations > 0
+
+    def test_terminal_state_outside_the_legitimate_set_diverges(
+        self, monkeypatch
+    ):
+        repaired_to(monkeypatch, wedged_state())
+        report = check_convergence(1, timeout_mode="per_message")
+        assert not report.ok
+        scenario, terminal = report.diverged[0]
+        assert terminal == wedged_state()
 
     def test_cli_entry_point(self, capsys):
-        assert main(["--window", "2", "--max-send", "2",
-                     "--timeout-mode", "simple"]) == 0
+        assert main(["--window", "1", "--timeout-mode", "simple"]) == 0
         out = capsys.readouterr().out
         assert "OK [simple]" in out
+        assert "already legitimate" in out

@@ -6,14 +6,9 @@ the properties are the paper's correctness statements:
 * **safety** — every completed transfer delivers each payload exactly
   once, in order, regardless of loss rate, jitter, window size, numbering
   mode, or ack policy;
-* **invariance** — the abstract model's invariant survives arbitrary
-  fair executions (complementing the exhaustive checks of E8 with deeper
-  random ones);
 * **equivalence** — bounded and unbounded variants remain behaviourally
   identical under randomized conditions.
 """
-
-import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,8 +22,6 @@ from repro.protocols.blockack_bounded import (
     BoundedBlockAckSender,
 )
 from repro.sim.runner import LinkSpec, run_transfer
-from repro.verify.actions import AbstractProtocolModel
-from repro.verify.explorer import RandomWalker
 from repro.workloads.sources import GreedySource
 
 
@@ -58,28 +51,6 @@ def test_transfer_safety_property(window, loss, spread, seed, mode, bounded):
     )
     assert result.completed
     assert result.delivered_payloads == [("msg", i) for i in range(60)]
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    window=st.integers(min_value=1, max_value=4),
-    max_send=st.integers(min_value=1, max_value=12),
-    loss_p=st.floats(min_value=0.0, max_value=0.4),
-    budget=st.integers(min_value=0, max_value=25),
-    seed=st.integers(min_value=0, max_value=10**6),
-    mode=st.sampled_from(["simple", "per_message"]),
-)
-def test_abstract_model_walk_property(window, max_send, loss_p, budget, seed, mode):
-    """Random fair executions: invariant holds, transfer completes."""
-    model = AbstractProtocolModel(
-        window=window, max_send=max_send, timeout_mode=mode, allow_loss=True
-    )
-    walker = RandomWalker(
-        model, random.Random(seed), loss_probability=loss_p, loss_budget=budget
-    )
-    report = walker.run()
-    assert report.invariant_violations == 0
-    assert report.completed
 
 
 @settings(max_examples=15, deadline=None)
