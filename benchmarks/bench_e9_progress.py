@@ -1,4 +1,4 @@
-"""E9 — progress: na+ns+nr+vr climbs; fair walks complete.
+"""E9 — progress: na+ns+nr+vr never falls, and na advances forever.
 
 Regenerates the experiment's table into results/e9_<mode>.txt and
 asserts the paper claim's shape reproduced.  See DESIGN.md § per-
