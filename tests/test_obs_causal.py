@@ -234,6 +234,62 @@ class TestFlightRecorder:
         }
 
 
+class TestTimerNodes:
+    """Timer nodes name the bank timer of their own seq and its deadline.
+
+    The retransmission bank of a ``per_message_safe`` sender is
+    ``retx``, so every arm, cancel and fire node for seq ``s`` is
+    acted by ``retx[s]`` wherever the node is read: :meth:`nodes`, the
+    frozen ring and the streamed flight dump.
+    """
+
+    @staticmethod
+    def timer_nodes(nodes):
+        return [node for node in nodes if node[3].startswith("timer.")]
+
+    def test_actor_is_the_bank_timer_of_the_node_seq(self):
+        nodes = self.timer_nodes(lossy_transfer().causal.nodes())
+        kinds = {node[3] for node in nodes}
+        assert kinds == {"timer.arm", "timer.cancel", "timer.fire"}
+        for node in nodes:
+            assert type(node[2]) is str
+            assert node[2] == f"retx[{node[4]}]", node
+
+    def test_arm_detail_is_a_later_deadline(self):
+        nodes = self.timer_nodes(lossy_transfer().causal.nodes())
+        assert any(node[3] == "timer.arm" for node in nodes)
+        for node in nodes:
+            time, detail = node[1], node[8]
+            if node[3] == "timer.arm":
+                assert type(detail) is float and detail > time, node
+            else:
+                assert detail is None, node
+
+    def test_flight_dump_streams_the_same_actor_strings(self, obs_dir):
+        result = dead_link_transfer(obs_dir)
+        causal = result.causal
+        frozen = self.timer_nodes(causal.frozen)
+        assert frozen
+        for node in frozen:
+            assert node[2] == f"retx[{node[4]}]", node
+        records = [
+            json.loads(line)
+            for line in open(result.flight_path, encoding="utf-8")
+        ]
+        timer_records = [
+            record
+            for record in records
+            if record["type"] == "causal" and record["kind"].startswith("timer.")
+        ]
+        streamed = [r for r in timer_records if r["id"] >= len(causal.frozen)]
+        assert streamed, "no timer node streamed after the trigger"
+        for record in timer_records:
+            assert record["actor"] == f"retx[{record['seq']}]", record
+        dumped = {r["id"]: r for r in timer_records}
+        for node in frozen:
+            assert dumped[node[0]] == node_record(node)
+
+
 class TestHostCausal:
     def test_multi_flow_attributions_are_flow_stamped_and_exact(self):
         result = run_flows(
