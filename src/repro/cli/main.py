@@ -129,9 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_p.add_argument(
         "--profile", action="store_true",
-        help="cProfile the transfer micro and an arbitrated 16-flow session "
-        "and dump the hottest functions to results/profile/ "
-        "(transfer.prof + transfer.txt, session.prof + session.txt)",
+        help="cProfile the transfer micro, the same transfer with obs and "
+        "causal telemetry on, and an arbitrated 16-flow session, and dump "
+        "the hottest functions to results/profile/ (transfer.*, "
+        "observed.*, session.*: a .prof and a .txt each)",
     )
 
     obs_p = sub.add_parser(
@@ -515,8 +516,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     if args.profile:
         print(
-            f"profiling transfer micro and arbitrated session "
-            f"(scale={args.scale}) ..."
+            "profiling transfer micro (telemetry off and on) and "
+            f"arbitrated session (scale={args.scale}) ..."
         )
         written = run_profile(pathlib.Path("results/profile"), scale=args.scale)
         for path in written:

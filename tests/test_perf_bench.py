@@ -147,9 +147,11 @@ def test_run_profile_writes_dumps(tmp_path):
     written = run_profile(tmp_path, scale=1, top=5)
     names = sorted(p.name for p in written)
     assert names == [
-        "session.prof", "session.txt", "transfer.prof", "transfer.txt"
+        "observed.prof", "observed.txt",
+        "session.prof", "session.txt",
+        "transfer.prof", "transfer.txt",
     ]
-    for stem in ("transfer", "session"):
+    for stem in ("transfer", "observed", "session"):
         report = (tmp_path / f"{stem}.txt").read_text()
         assert "messages delivered" in report
         header = report.splitlines()[1]
