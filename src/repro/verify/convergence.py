@@ -93,7 +93,6 @@ def receiver_witness(state: SystemState) -> frozenset:
 
 def repair_state(
     state: SystemState,
-    window: int,
     unacked: frozenset,
     buffered: frozenset,
 ) -> Tuple[SystemState, List[str]]:
@@ -173,9 +172,7 @@ def corrupt_scenarios(
     buffered = receiver_witness(state)
 
     def scenario(site: str, detail: str, corrupted: SystemState):
-        repaired, repairs = repair_state(
-            corrupted, window, unacked, buffered
-        )
+        repaired, repairs = repair_state(corrupted, unacked, buffered)
         return CorruptionScenario(
             origin=state,
             site=site,
@@ -258,7 +255,8 @@ class ConvergenceReport:
     def summary(self) -> str:
         status = "OK" if self.ok else "FAILED"
         return (
-            f"{status} [{self.timeout_mode}]: {self.origins} origins, "
+            f"{status} [{self.timeout_mode}]: w={self.window}, "
+            f"{self.origins} origins, "
             f"{self.scenarios} corruption scenarios, "
             f"{self.unique_repaired} unique repaired states "
             f"({self.already_legitimate} already legitimate), "

@@ -3,8 +3,10 @@
 Each assertion is a predicate over a :class:`~repro.verify.state.SystemState`;
 :func:`check_invariant` evaluates all three and returns the list of
 violated clauses (empty when the state satisfies the invariant).  The
-explorer calls this at every reachable state; tests and the randomized
-progress driver call it after every step.
+explorer calls it at every reachable state of its graph, the one that
+E8, E9 and ``blockack check`` read; the refinement replayer calls it
+after every replayed trace step, and the convergence checker at every
+state of a recovery search, where it counts transient violations.
 
 Assertion 6 — counter ordering and window bound::
 

@@ -58,14 +58,14 @@ class TestRepairState:
 
     def test_consistent_state_untouched(self):
         state, unacked, buffered = self._witnesses()
-        repaired, repairs = repair_state(state, 4, unacked, buffered)
+        repaired, repairs = repair_state(state, unacked, buffered)
         assert repairs == []
         assert repaired == state
 
     def test_demote_forged_progress(self):
         state, unacked, buffered = self._witnesses()
         corrupted = state.replace(na=5)
-        repaired, repairs = repair_state(corrupted, 4, unacked, buffered)
+        repaired, repairs = repair_state(corrupted, unacked, buffered)
         assert repairs
         assert repaired.na == 2
         assert repaired.ackd == {3}
@@ -73,7 +73,7 @@ class TestRepairState:
     def test_promote_rewound_cursor(self):
         state, unacked, buffered = self._witnesses()
         corrupted = state.replace(na=0, ackd=frozenset())
-        repaired, repairs = repair_state(corrupted, 4, unacked, buffered)
+        repaired, repairs = repair_state(corrupted, unacked, buffered)
         assert any("released at acknowledgment" in r for r in repairs)
         assert repaired.na == 2
         assert repaired.ackd == {3}
@@ -81,7 +81,7 @@ class TestRepairState:
     def test_receiver_vr_clamped_to_buffer_run(self):
         state, unacked, buffered = self._witnesses()
         corrupted = state.replace(vr=6, rcvd=frozenset())
-        repaired, repairs = repair_state(corrupted, 4, unacked, buffered)
+        repaired, repairs = repair_state(corrupted, unacked, buffered)
         assert repairs
         assert repaired.vr == 3  # 3 was never buffered: the run stops
         assert repaired.rcvd == {4}  # the stranded receipt is rebuilt
@@ -89,7 +89,7 @@ class TestRepairState:
     def test_receiver_cursor_inversion(self):
         state, unacked, buffered = self._witnesses()
         corrupted = state.replace(vr=0)
-        repaired, _ = repair_state(corrupted, 4, unacked, buffered)
+        repaired, _ = repair_state(corrupted, unacked, buffered)
         # demoted to the durable anchor; the buffered run is re-recorded
         # and action 4 re-advances vr during recovery
         assert repaired.vr == repaired.nr == 2
@@ -102,8 +102,8 @@ class TestRepairState:
             state.replace(na=5),
             state.replace(vr=6),
         ):
-            once, _ = repair_state(corrupted, 4, unacked, buffered)
-            twice, repairs = repair_state(once, 4, unacked, buffered)
+            once, _ = repair_state(corrupted, unacked, buffered)
+            twice, repairs = repair_state(once, unacked, buffered)
             assert repairs == []
             assert twice == once
 
@@ -120,9 +120,7 @@ class TestCorruptScenarios:
         unacked = sender_witness(state)
         buffered = receiver_witness(state)
         for scenario in corrupt_scenarios(state, 4):
-            again, repairs = repair_state(
-                scenario.repaired, 4, unacked, buffered
-            )
+            again, repairs = repair_state(scenario.repaired, unacked, buffered)
             assert repairs == [], scenario.detail
             assert again == scenario.repaired
 
@@ -158,7 +156,7 @@ class TestCheckConvergence:
         assert report.origins > 0
         assert report.scenarios > report.origins
         assert report.diverged == []
-        assert "OK [simple]" in report.summary()
+        assert report.summary().startswith("OK [simple]: w=1, ")
 
     @pytest.mark.slow
     @pytest.mark.parametrize("mode", ["simple", "per_message"])
@@ -196,5 +194,5 @@ class TestCheckConvergence:
     def test_cli_entry_point(self, capsys):
         assert main(["--window", "1", "--timeout-mode", "simple"]) == 0
         out = capsys.readouterr().out
-        assert "OK [simple]" in out
+        assert "OK [simple]: w=1, " in out
         assert "already legitimate" in out
