@@ -30,7 +30,16 @@ class Timer:
     uses to chain timer-fire → retransmit edges.  The cost when no
     observer is set is one attribute read per operation; the engine's
     event loop is untouched, so schedules are identical either way.
+
+    ``expires_at`` is a plain slot, the virtual time of the pending
+    firing or None while idle: :meth:`start` sets it, and :meth:`stop`
+    and the firing clear it before they report, so an observer reads
+    the deadline on ``"arm"`` and None on ``"cancel"`` and ``"fire"``.
+    The timer's event is cancelled only by its own :meth:`stop`, so the
+    timer runs exactly while it holds an event.
     """
+
+    __slots__ = ("_sim", "_callback", "_args", "_event", "expires_at", "name", "key")
 
     def __init__(
         self,
@@ -43,25 +52,21 @@ class Timer:
         self._callback = callback
         self._args = args
         self._event: Optional[Event] = None
-        self._expires_at: Optional[float] = None
+        self.expires_at: Optional[float] = None
         self.name = name
         self.key: Any = None  # TimerBank stamps its key here
 
     @property
     def running(self) -> bool:
         """True if the timer is armed and has not yet fired."""
-        return self._event is not None and self._event.pending
-
-    @property
-    def expires_at(self) -> Optional[float]:
-        """Virtual time at which the timer will fire, or None if idle."""
-        return self._expires_at if self.running else None
+        return self._event is not None
 
     def start(self, period: float) -> None:
         """Arm the timer ``period`` from now.  Restarts if already running."""
-        self.stop()
+        if self._event is not None:
+            self.stop()
         sim = self._sim
-        self._expires_at = sim.now + period
+        self.expires_at = sim.now + period
         self._event = sim.schedule(period, self._fire)
         observer = getattr(sim, "timer_observer", None)
         if observer is not None:
@@ -77,14 +82,14 @@ class Timer:
         if event is not None:
             event.cancel()
             self._event = None
+            self.expires_at = None
             observer = getattr(self._sim, "timer_observer", None)
             if observer is not None:
                 observer("cancel", self)
-        self._expires_at = None
 
     def _fire(self) -> None:
         self._event = None
-        self._expires_at = None
+        self.expires_at = None
         observer = getattr(self._sim, "timer_observer", None)
         if observer is not None:
             observer("fire", self)
@@ -96,18 +101,21 @@ class _BankTimer(Timer):
 
     A bank builds one of these per sent sequence number, but only timer
     observers read its name, ``"<bank>[<key!r>]"``: the causal
-    recorder's timer nodes, flight dumps and Perfetto tracks.  So the
-    name is formatted on first read and cached.  The constructor fills
-    the fields :meth:`Timer.__init__` fills; start, stop and fire are
-    :class:`Timer`'s own.
+    recorder's timer nodes when they are materialized, flight dumps and
+    Perfetto tracks.  The name is fixed at construction, from the
+    bank's name and the key, but formatted on first read and cached.
+    The constructor fills the fields :meth:`Timer.__init__` fills;
+    start, stop and fire are :class:`Timer`'s own.
     """
+
+    __slots__ = ("_bank_name", "_name")
 
     def __init__(self, bank: "TimerBank", key: Any) -> None:
         self._sim = bank._sim
         self._callback = bank._callback
         self._args = (key,)
         self._event = None
-        self._expires_at = None
+        self.expires_at = None
         self._bank_name = bank.name
         self._name: Optional[str] = None
         self.key = key
@@ -182,6 +190,8 @@ class AdaptiveTimer(Timer):
     works, so an ``AdaptiveTimer`` with ``period_fn=lambda: T`` is a
     drop-in :class:`Timer` with a default period.
     """
+
+    __slots__ = ("_period_fn",)
 
     def __init__(
         self,
