@@ -452,6 +452,48 @@ class TestResultPins:
             "70aaab7fd91dae9df7b3c4bf17c62450"
         )
 
+    # (export lines, export digest, causal.nodes() digest): Section V
+    # wire numbers key the bounded spans and wrap every 2w; go-back-N's
+    # cumulative acks reach its spans through WINDOW_OPEN
+    OBS_CAUSAL_PINS = {
+        "blockack-bounded": (
+            603,
+            "9157075be8244411845c5b220019b6ca"
+            "aea9ef135f2ca6532ade1438511ff568",
+            "3cc093545e8b62edbe7a1829083e813b"
+            "356e2e65125a07adfd6507b7e08005dc",
+        ),
+        "gobackn": (
+            2771,
+            "10f34b848761598be5a20e16de90196e"
+            "38a4bcfeadd61937bc9b1a7020a304ab",
+            "ad3d2b7525548a34fe0e59b6acd0a7d3"
+            "e94ff012811fe3eaf72e2b09a31ceecb",
+        ),
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(OBS_CAUSAL_PINS))
+    def test_lossy_obs_causal_export_and_nodes_digest(
+        self, protocol, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        sender, receiver = make_pair(protocol, window=8)
+        result = run_transfer(
+            sender, receiver, GreedySource(120),
+            forward=lossy_link(0.1), reverse=lossy_link(0.1), seed=5,
+            trace=True, obs=True, causal=True, obs_run_id=protocol,
+        )
+        assert result.completed and result.in_order
+        assert result.flight_path is None
+        path = result.obs.export(path=tmp_path / f"{protocol}.jsonl")
+        lines = path.read_text().splitlines()
+        count, export_digest, nodes_digest = self.OBS_CAUSAL_PINS[protocol]
+        assert len(lines) == count
+        assert _digest(lines) == export_digest
+        assert _digest([list(node) for node in result.causal.nodes()]) == (
+            nodes_digest
+        )
+
     def test_observed_w8_shaped_export_digest(self, tmp_path, monkeypatch):
         # the benchmark's observed-w8 inputs with tracing off: the obs tee
         # over the causal tee over a NullRecorder

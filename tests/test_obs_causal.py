@@ -22,16 +22,19 @@ from repro.obs.analyze import (
 )
 from repro.obs.causal import (
     BACKOFF_TRIGGER_ATTEMPTS,
+    FLIGHT_RING_CAPACITY,
     node_record,
 )
 from repro.obs.schema import validate_file
 from repro.obs.sink import JsonlSink, load_run, summarize_run
+from repro.protocols.blockack import BlockAckReceiver
 from repro.protocols.registry import make_pair
 from repro.robustness.controller import AdaptiveConfig
 from repro.robustness.corruption import StateCorruption
 from repro.robustness.faults import CrashRestart, FaultPlan
 from repro.sim.host import run_flows, uniform_flows
 from repro.sim.runner import LinkSpec, run_transfer
+from repro.trace.events import EventKind
 from repro.workloads.sources import GreedySource
 
 from .conftest import ENGINE_VARIANTS, use_engine
@@ -332,6 +335,95 @@ class TestHostCausal:
         fast = run_flows(uniform_flows("blockack", 2, 8, 30), **kwargs)
         assert default.causal.nodes() == fast.causal.nodes()
         assert default.causal.attributions == fast.causal.attributions
+
+
+class _NoDeliverRecords:
+    """A recorder that forwards every trace record except DELIVER."""
+
+    def __init__(self, inner) -> None:
+        self._record = inner.record
+
+    def record(self, actor, kind, seq=None, seq_hi=None, detail=None) -> None:
+        if kind is not EventKind.DELIVER:
+            self._record(actor, kind, seq, seq_hi, detail)
+
+
+class _SilentDeliveryReceiver(BlockAckReceiver):
+    """A block-ack receiver whose deliveries leave no DELIVER record."""
+
+    def attach(self, sim, tx, trace=None) -> None:
+        super().attach(
+            sim, tx, None if trace is None else _NoDeliverRecords(trace)
+        )
+
+
+def _assert_telescopes(attributions) -> None:
+    for record in attributions.values():
+        parts = (
+            record["queue_wait"]
+            + record["timer_wait"]
+            + record["retx_wait"]
+            + record["propagation"]
+        )
+        assert record["total"] == pytest.approx(parts, abs=1e-9)
+
+
+class TestOneDeliveryFeed:
+    """Each delivered seq enters the span tracker and the causal graph once,
+    whether or not the receiver records DELIVER."""
+
+    @pytest.mark.parametrize("silent", [False, True], ids=["deliver_records", "none"])
+    def test_one_span_delivery_and_one_deliver_node_per_seq(self, silent):
+        total = 40
+        sender, receiver = make_pair("blockack", window=8)
+        if silent:
+            receiver = _SilentDeliveryReceiver(8)
+        result = run_transfer(
+            sender, receiver, GreedySource(total),
+            forward=LinkSpec(
+                delay=UniformDelay(0.5, 1.5), loss=BernoulliLoss(0.1)
+            ),
+            reverse=LinkSpec(delay=UniformDelay(0.5, 1.5)),
+            seed=7, trace=True, obs=True, causal=True,
+        )
+        assert result.completed and result.delivered == total
+        delivers = result.trace.filter(kind=EventKind.DELIVER)
+        assert len(delivers) == (0 if silent else total)
+        (tracker,) = result.obs.trackers
+        assert sorted(tracker.spans) == list(range(total))
+        assert all(span.complete for span in tracker.spans.values())
+        # one latency observation per delivery
+        assert result.obs.registry.get("delivery_latency").count == total
+        causal = result.causal
+        assert causal.events_recorded <= FLIGHT_RING_CAPACITY  # whole run kept
+        nodes = [node for node in causal.nodes() if node[3] == "deliver"]
+        assert sorted(node[4] for node in nodes) == list(range(total))
+        assert {(node[2], node[7]) for node in nodes} == {("receiver", None)}
+        assert len(causal.attributions) == total
+        _assert_telescopes(causal.attributions)
+
+    def test_muxed_deliver_nodes_carry_the_flow_and_its_actor(self):
+        session = run_flows(
+            uniform_flows("blockack", 2, 8, 20),
+            forward=LinkSpec(
+                delay=UniformDelay(0.5, 1.5), loss=BernoulliLoss(0.1)
+            ),
+            reverse=LinkSpec(delay=UniformDelay(0.5, 1.5)),
+            seed=7, obs=True, causal=True,
+        )
+        assert session.completed and session.in_order
+        causal = session.causal
+        assert causal.events_recorded <= FLIGHT_RING_CAPACITY
+        nodes = [node for node in causal.nodes() if node[3] == "deliver"]
+        assert sorted((node[7], node[4]) for node in nodes) == [
+            (flow, seq) for flow in (0, 1) for seq in range(20)
+        ]
+        assert all(node[2] == f"receiver.f{node[7]}" for node in nodes)
+        for tracker in session.obs.trackers:
+            assert len(tracker.spans) == 20
+            assert all(span.complete for span in tracker.spans.values())
+        assert session.obs.registry.get("delivery_latency").count == 40
+        _assert_telescopes(causal.attributions)
 
 
 class TestSinkDurability:
