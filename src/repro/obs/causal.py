@@ -7,10 +7,11 @@ acks, timer arm/fire/cancel, RTO verdicts, state-corruption injection,
 guard/repair firings, endpoint crash/restart, invariant-monitor findings —
 into a node of a per-seq causal graph with parent edges (timer-fire →
 retransmit → delivery).  Nodes come from the existing instrument seams
-only (the trace-recorder tee, channel observers, the controller
-instruments duck-type, the fault-plan observer, and the timers' sim-level
-observer), and every hook here fires synchronously inside the callback
-that caused it, so recording never perturbs the decision trace.
+only (the trace-recorder tee, the session host's submit and delivery
+callbacks, channel observers, the controller instruments duck-type, the
+fault-plan observer, and the timers' sim-level observer), and every hook
+here fires synchronously inside the callback that caused it, so
+recording never perturbs the decision trace.
 
 Three products sit on the graph:
 
@@ -293,10 +294,14 @@ class CausalRecorder:
         detail: Any,
         flow: Optional[int] = None,
     ) -> None:
-        """One endpoint trace record (via :class:`CausalTee`)."""
+        """One endpoint trace record (via :class:`CausalTee`).
+
+        A DELIVER record adds no node: the session host's delivery
+        callback calls :meth:`on_deliver` for every delivery, recorded or
+        not, right after the receiver's DELIVER record, with the same
+        actor and flow.
+        """
         if kind is _DELIVER:
-            if seq is not None:
-                self.on_deliver(seq, now, flow, actor)
             return
         node = (now, actor, kind._value_, seq, seq_hi, flow, None)
         self._ring_append(node)

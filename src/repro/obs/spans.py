@@ -21,7 +21,10 @@ endpoints already emit, so **every retransmitting protocol is
 instrumented at once**: :class:`ObsRecorder` is a write-only tee with
 the ``record`` signature of :class:`~repro.trace.recorder.TraceRecorder`
 that feeds each record to the tracker (and its metric counters) before
-forwarding it to an inner recorder.
+forwarding it to an inner recorder.  The two ends of a span come from
+the session host instead: its submit wrapper and its delivery callback
+call :meth:`SpanTracker.on_submit` and :meth:`SpanTracker.on_deliver`
+once per message, whether or not the endpoint records DELIVER.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = ["SeqSpan", "SpanTracker", "ObsRecorder", "LIFECYCLE_STATES"]
 _SEND_DATA = EventKind.SEND_DATA
 _RESEND_DATA = EventKind.RESEND_DATA
 _RECV_ACK = EventKind.RECV_ACK
-_DELIVER = EventKind.DELIVER
 _TIMEOUT = EventKind.TIMEOUT
 _WINDOW_OPEN = EventKind.WINDOW_OPEN
 
@@ -141,7 +143,8 @@ class SpanTracker:
         self.registry = registry
         self.flow = flow
         self.spans: Dict[int, SeqSpan] = {}
-        # every seq below this cursor is acknowledged; WINDOW_OPEN moves it
+        # every seq below this cursor is acknowledged; WINDOW_OPEN and
+        # a block ack that reaches it move it
         self._acked_below = 0
         self._events = registry.counter(
             "protocol_events_total",
@@ -206,10 +209,9 @@ class SpanTracker:
     def on_deliver(self, seq: int, now: float) -> Optional[float]:
         """``seq`` was released in order; returns its latency, if known.
 
-        Normally the DELIVER trace record drives this via
-        :meth:`on_event`; the session host also calls it directly from its
-        ``on_deliver`` callback so protocols that do not emit DELIVER
-        records still produce complete spans.
+        The session host calls this from its ``on_deliver`` callback,
+        which sees every delivery whether or not the endpoint records
+        DELIVER; :meth:`on_event` only counts a DELIVER record.
         """
         span = self._span(seq)
         if span.delivered_at is None:
@@ -257,9 +259,10 @@ class SpanTracker:
                     hi - seq + 1
                 )
                 self._mark_acked(seq, hi + 1, now)
-        elif kind is _DELIVER:
-            if seq is not None:
-                self.on_deliver(seq, now)
+                # a block reaching the cursor extends the acked prefix, so
+                # the next WINDOW_OPEN visits no seq this block marked
+                if seq <= self._acked_below <= hi:
+                    self._acked_below = hi + 1
         elif kind is _TIMEOUT:
             (self._timeouts or self._bind("_timeouts")).value += 1.0
             if seq is not None:

@@ -53,7 +53,11 @@ class TestSpanTracker:
         tracker.on_event(1.0, "sender", EventKind.SEND_DATA, 0, None, None)
         tracker.on_event(3.0, "sender", EventKind.RESEND_DATA, 0, None, None)
         tracker.on_event(5.0, "sender", EventKind.RECV_ACK, 0, 0, None)
+        # a DELIVER record only counts: deliveries come from the host's
+        # delivery callback, which calls on_deliver
         tracker.on_event(4.0, "receiver", EventKind.DELIVER, 0, None, None)
+        assert tracker.spans[0].delivered_at is None
+        tracker.on_deliver(0, 4.0)
         span = tracker.spans[0]
         assert span.sends == 2 and span.resends == 1
         assert span.first_sent_at == 1.0 and span.last_sent_at == 3.0
