@@ -1,5 +1,7 @@
 """Refinement tests: timed traces replay as abstract-spec executions."""
 
+import hashlib
+
 import pytest
 
 from repro.trace.events import EventKind, TraceEvent
@@ -8,6 +10,34 @@ from repro.verify.refinement import check_refinement, replay_trace
 
 def ev(kind, seq=None, seq_hi=None, t=0.0, actor="x"):
     return TraceEvent(time=t, actor=actor, kind=kind, seq=seq, seq_hi=seq_hi)
+
+
+#: sha256 prefixes of whole reports (w=5, 120 messages, 12% loss, spread
+#: 1.5): the replay's steps, refusal texts, invariant findings and final
+#: state must not drift.  The aggressive runs hit the ten-error cap.
+REPORT_DIGESTS = {
+    ("simple", 1): "926d368aeafe151d",
+    ("simple", 2): "7973da19e3fd5119",
+    ("simple", 3): "48715c7721a20d99",
+    ("per_message_safe", 1): "c74aa7f6fbaf818f",
+    ("per_message_safe", 2): "73ca23fbd0a3b6f0",
+    ("per_message_safe", 3): "f77251bd8f102dbc",
+    ("oracle", 1): "62a37801987ad1d3",
+    ("oracle", 2): "0c9c38f101031873",
+    ("oracle", 3): "cdf8d3dc54221589",
+    ("aggressive", 1): "df336b1b35b73ece",
+    ("aggressive", 2): "eebc2720da4a7f5c",
+    ("aggressive", 3): "41b4b17984e83fb1",
+}
+
+
+def report_digest(report):
+    state = report.final_state
+    text = "\n".join(
+        [str(report.steps)] + report.errors + report.invariant_violations
+        + [state.describe() if state is not None else "None"]
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class TestTimedModesRefineTheSpec:
@@ -42,6 +72,16 @@ class TestTimedModesRefineTheSpec:
         )
         assert not report.ok
         assert any("buffered at the receiver" in error for error in report.errors)
+
+    def test_reports_are_pinned(self):
+        digests = {
+            (mode, seed): report_digest(check_refinement(
+                window=5, total=120, seed=seed, timeout_mode=mode,
+                loss=0.12, spread=1.5,
+            ))
+            for mode, seed in REPORT_DIGESTS
+        }
+        assert digests == REPORT_DIGESTS
 
     def test_final_state_is_quiescent(self):
         report = check_refinement(
