@@ -11,7 +11,7 @@ driven back into the legitimate set — Dolev-style closure plus
 convergence, checked by explicit-state search instead of sampled by
 simulation.
 
-The method mirrors the runtime repair rules exactly:
+The method runs the runtime repair rules themselves:
 
 1. the states of the :class:`~repro.verify.explorer.Explorer` graph with
    loss on are the **legitimate set** and the **origins** (corruption
@@ -19,11 +19,14 @@ The method mirrors the runtime repair rules exactly:
 2. each origin, moved to an even and an odd offset of at least ``2w``,
    is corrupted at the runtime model's sites — the sender's ``na``
    cursor, its ``ackd`` record, the receiver's ``vr`` cursor and buffer;
-3. the **abstract repair rules** treat the payload stores as a witness
-   ledger both ways (a held payload proves its number unacknowledged,
-   an absent one below the send horizon proves it acknowledged, a
-   buffered one proves it received) — exactly
-   :meth:`repro.core.window.SenderWindow.repair` in the small;
+3. the **repair** loads the corrupted state into a
+   :class:`~repro.core.window.SenderWindow` and a
+   :class:`~repro.core.window.ReceiverWindow` and runs their own
+   ``repair``, the rules E16's endpoints run.  The sender's payload store
+   is a witness ledger both ways (a held payload proves its number
+   unacknowledged, an absent one below the send horizon proves it
+   acknowledged).  The receiver's store bounds ``vr`` from above, and
+   the receiver drops a held payload that ``rcvd`` does not list;
 4. a repaired state converges if, normalised, it is legitimate, or if
    every loss-free execution from it (the fairness assumption) reaches
    the legitimate set without meeting a terminal state outside it.
@@ -42,6 +45,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.core.window import ReceiverWindow, SenderWindow
 from repro.verify.actions import TIMEOUT_MODES, AbstractProtocolModel
 from repro.verify.explorer import Explorer
 from repro.verify.invariants import check_invariant
@@ -87,7 +91,7 @@ def receiver_witness(state: SystemState) -> frozenset:
 
 
 # ----------------------------------------------------------------------
-# the abstract repair rules (witness-authoritative, as at runtime)
+# the repair: the endpoints' own rules, run on the abstract state
 # ----------------------------------------------------------------------
 
 
@@ -96,53 +100,32 @@ def repair_state(
     unacked: frozenset,
     buffered: frozenset,
 ) -> Tuple[SystemState, List[str]]:
-    """Apply the runtime guard/repair rules to an abstract state.
+    """Run the shipping guard/repair rules on an abstract state.
 
-    ``unacked``/``buffered`` are the payload-store witnesses captured at
-    the origin (corruption mutates cursors and records, never the
-    stores).  The ledger is authoritative in both directions, exactly
-    as in :meth:`repro.core.window.SenderWindow.repair`: a held payload
-    proves sent-but-unacknowledged (demote — duplicate handling absorbs
-    the spurious retransmissions), an absent payload for a number below
-    the send horizon proves acknowledged (promote — without it a
-    rewound ``na`` leaves "unacknowledged" numbers nothing can
-    retransmit).
+    The state's counters and records are loaded into a
+    :class:`~repro.core.window.SenderWindow` and a
+    :class:`~repro.core.window.ReceiverWindow`, with ``unacked`` and
+    ``buffered`` as their payload stores (corruption mutates cursors and
+    records, never the stores).  Their own ``repair`` methods run, as
+    E16's endpoints run them, and the repaired state is read back.
+    Returns it with the repairs the two windows report.
     """
-    repairs: List[str] = []
-    na, ns, ackd = state.na, state.ns, set(state.ackd)
-    nr, vr, rcvd = state.nr, state.vr, set(state.rcvd)
-
-    # -- sender: cursor and record rewritten from the payload ledger ----
-    target = min(unacked) if unacked else ns
-    if na != target:
-        reason = (
-            "held payload unacked" if na > target
-            else "payloads below released at acknowledgment"
-        )
-        repairs.append(f"na {na} -> {target} ({reason})")
-        na = target
-    canonical = {s for s in range(na, ns) if s not in unacked}
-    if ackd != canonical:
-        repairs.append("ackd rebuilt from the payload ledger")
-        ackd = canonical
-
-    # -- receiver: the buffer witness bounds vr from above --------------
-    if vr < nr:
-        repairs.append(f"vr {vr} -> {nr} (cursor inversion)")
-        vr = nr
-    run_end = nr
-    while run_end in buffered:
-        run_end += 1
-    if vr > run_end:
-        repairs.append(f"vr {vr} -> {run_end} (no buffered payload)")
-        vr = run_end
-    true_rcvd = {s for s in buffered if s >= vr}
-    if rcvd != true_rcvd:
-        repairs.append("rcvd rebuilt from buffered payloads")
-        rcvd = true_rcvd
-
+    # neither repair reads the window size
+    sender = SenderWindow(1)
+    sender.na, sender.ns = state.na, state.ns
+    sender._ackd = set(state.ackd)
+    receiver = ReceiverWindow(1)
+    receiver.nr, receiver.vr = state.nr, state.vr
+    receiver._rcvd = set(state.rcvd)
+    receiver._payloads = dict.fromkeys(buffered)
+    repairs = sender.repair(unacked) + receiver.repair()
     repaired = state.replace(
-        na=na, ackd=frozenset(ackd), vr=vr, rcvd=frozenset(rcvd)
+        na=sender.na,
+        ns=sender.ns,
+        ackd=frozenset(sender._ackd),
+        nr=receiver.nr,
+        vr=receiver.vr,
+        rcvd=frozenset(receiver._rcvd),
     )
     return repaired, repairs
 

@@ -1,8 +1,11 @@
 """Unit tests for the paper's guarded-command actions."""
 
+from collections import Counter
+
 import pytest
 
 from repro.verify.actions import AbstractProtocolModel
+from repro.verify.explorer import Explorer
 from repro.verify.state import initial_state
 
 
@@ -180,3 +183,57 @@ class TestFinality:
             AbstractProtocolModel(0)
         with pytest.raises(ValueError):
             AbstractProtocolModel(2, timeout_mode="bogus")
+
+
+def candidate_instances(model, state):
+    """Every (action, message) a test offers ``step`` in ``state``.
+
+    Numbers run from ``2w`` below ``na`` to ``2w`` above ``ns``, past the
+    ranges E8 measures for data and acks in transit; pairs include the
+    empty block ``(nr, nr - 1)`` that action 5 owes when ``nr = vr``.
+    """
+    span = 2 * model.window
+    numbers = range(state.na - span, state.ns + span)
+    pairs = [(lo, hi) for lo in numbers for hi in numbers if hi >= lo - 1]
+    for action in ("0:send", model.timeout_action, "3:recv_data",
+                   "env:lose_data"):
+        for seq in numbers:
+            yield action, seq
+    for action in ("1:recv_ack", "5:send_ack", "env:lose_ack"):
+        for pair in pairs:
+            yield action, pair
+    yield "4:advance_vr", None
+
+
+class TestOneDefinition:
+    @pytest.mark.parametrize("window", [2, 3])
+    @pytest.mark.parametrize("mode", ["simple", "per_message"])
+    def test_transitions_are_the_steps_whose_guards_hold(self, window, mode):
+        # every state of the graph, loss on: the enumeration is exactly
+        # the instances step takes, and step refuses every other one
+        model = AbstractProtocolModel(window, mode)
+        explorer = Explorer(model, stop_at_first_violation=False)
+        assert explorer.run().ok
+        for state in explorer.reached:
+            taken = Counter()
+            for action, message in candidate_instances(model, state):
+                transition, refusal = model.step(state, action, message)
+                if transition is None:
+                    assert refusal, (action, message)
+                else:
+                    assert refusal is None
+                    assert transition.action == action
+                    taken[transition] += 1
+            assert Counter(model.transitions(state)) == taken, state.describe()
+
+    def test_step_refuses_a_copy_still_in_transit(self):
+        model = AbstractProtocolModel(2, "per_message")
+        state = initial_state().replace(ns=1, c_sr=(0,))
+        assert model.step(state, "2':timeout(i)", 0) == (
+            None, "resend 0: a copy is still in C_SR"
+        )
+
+    def test_step_rejects_an_action_the_model_lacks(self):
+        model = AbstractProtocolModel(2, "per_message")
+        with pytest.raises(ValueError):
+            model.step(initial_state(), "2:timeout", 0)
