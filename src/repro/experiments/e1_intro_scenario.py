@@ -18,7 +18,7 @@ import random
 from typing import List
 
 from repro.analysis.report import render_table
-from repro.core.window import SenderWindow
+from repro.core.window import ReceiverWindow, SenderWindow
 from repro.experiments.common import ExperimentResult, ExperimentSpec
 from repro.verify.faulty import NaiveGbnReceiver, NaiveGbnSender
 from repro.verify.scenarios import run_intro_scenario_blockack, run_intro_scenario_gbn
@@ -68,34 +68,34 @@ def random_search_gbn(
 def random_search_blockack(trials: int, seed: int, window: int = 6) -> int:
     """The same adversarial bag applied to block acknowledgments.
 
-    The receiver behaviour is modelled faithfully: it acknowledges exactly
-    the blocks it accepts, acks are delivered in random order, and data
-    past the first window is lost with probability 1/2.  Counts runs where
-    the sender's ``na`` overtakes the receiver's accept point — which the
-    invariant proves impossible, so the expected count is zero.
+    Both ends are the shipping window books: the receiver is a
+    :class:`ReceiverWindow` that buffers out-of-order data and
+    acknowledges exactly the blocks it accepts, acks are delivered in
+    random order, and data past the first window is lost with
+    probability 1/2.  Counts runs where the sender's ``na`` overtakes the
+    receiver's ``nr`` — which the invariant proves impossible, so the
+    expected count is zero.
     """
     violations = 0
     for trial in range(trials):
         rng = random.Random(seed * 20_011 + trial)
         sender = SenderWindow(window)
-        receiver_nr = 0
-        pending_block_lo = None
+        receiver = ReceiverWindow(window)
         ack_bag: List[tuple] = []
         for _ in range(200):
             if sender.can_send and rng.random() < 0.7:
                 seq = sender.take_next()
                 lost = seq >= 2 * window and rng.random() < 0.5
-                if not lost and seq == receiver_nr:
-                    if pending_block_lo is None:
-                        pending_block_lo = receiver_nr
-                    receiver_nr += 1
-            if pending_block_lo is not None and rng.random() < 0.5:
-                ack_bag.append((pending_block_lo, receiver_nr - 1))
-                pending_block_lo = None
+                if not lost:
+                    receiver.accept(seq)
+                    receiver.advance()
+            if receiver.ack_ready and rng.random() < 0.5:
+                lo, hi, _ = receiver.take_block()
+                ack_bag.append((lo, hi))
             if ack_bag and rng.random() < 0.5:
                 lo, hi = ack_bag.pop(rng.randrange(len(ack_bag)))
                 sender.apply_ack(lo, hi)
-                if sender.na > receiver_nr:
+                if sender.na > receiver.nr:
                     violations += 1
                     break
     return violations
