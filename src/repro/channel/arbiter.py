@@ -51,8 +51,13 @@ ROADMAP item 5 measured 424–474 assertion-8 violations per
 ``blockack`` session on a 16-flow DRR link with derived timeouts,
 34–63 per session on the benchmark's ``shared-16`` workload despite its
 explicit 12 tu timeout, and out-of-order delivery on
-``blockack-bounded`` flows, whose sequence numbers wrap mod 2w.  The
-fix, bounding the queue wait, is item 5's.  Until it lands, an explicit
+``blockack-bounded`` flows, whose sequence numbers wrap mod 2w.  Behind
+an unbounded queue (``queue_limit=None``) nothing bounds the wait, so
+:attr:`~repro.channel.mux.FlowPort.effective_max_lifetime` is None there
+and the session host refuses to derive a timeout; an explicit
+``timeout_period`` still runs.  Behind a bounded queue the gap stays
+open: the derivation reads the link's lifetime alone.  The fix, bounding
+the queue wait, is item 5's.  Until it lands, an explicit
 ``timeout_period`` keeps the guarantees only if it outlasts the worst
 queue wait; E17 pins a generous one so that scheduling, not
 spurious-retransmission collapse, dominates its comparison.

@@ -251,6 +251,16 @@ class FlowPort:
 
     @property
     def effective_max_lifetime(self) -> Optional[float]:
+        """The link's lifetime bound; None behind an unbounded arbiter queue.
+
+        A frame waits at the arbiter before the link takes it.  With
+        ``queue_limit=None`` nothing bounds that wait, so nothing bounds
+        the frame's lifetime.  A bounded queue's wait is not yet added
+        (ROADMAP item 5).
+        """
+        arbiter = self._mux.arbiter
+        if arbiter is not None and arbiter.config.queue_limit is None:
+            return None
         return self._mux.link.effective_max_lifetime
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -171,6 +171,16 @@ class TestFlowPortSurfaceBehaviour:
         mux = FlowMux(link)
         assert mux.port(0).effective_max_lifetime == link.effective_max_lifetime
 
+    def test_port_lifetime_unbounded_behind_an_unbounded_queue(self, sim):
+        link = _raw_channel(sim, max_lifetime=4.0)
+        bounded = FlowMux(link, arbiter=ArbiterConfig(rate=2.0, queue_limit=8))
+        assert bounded.port(0).effective_max_lifetime == link.effective_max_lifetime
+        unbounded = FlowMux(
+            _raw_channel(sim, max_lifetime=4.0),
+            arbiter=ArbiterConfig(rate=2.0, queue_limit=None),
+        )
+        assert unbounded.port(0).effective_max_lifetime is None
+
     def test_flow_id_outside_wire_domain_rejected(self, sim):
         mux = FlowMux(_raw_channel(sim))
         with pytest.raises(ValueError):

@@ -126,6 +126,26 @@ class TestSharedLinkSessions:
             flow.reverse_stats["delivered"] for flow in session.flows
         )
 
+    def test_no_derived_timeout_behind_an_unbounded_queue(self):
+        # a frame may wait at the arbiter forever, so its lifetime has no
+        # bound and no timeout derived from the link's is safe
+        unbounded = ArbiterConfig(rate=2.0, scheduler="drr", queue_limit=None)
+        with pytest.raises(ValueError, match=r"unbounded arbiter queue"):
+            run_flows(
+                uniform_flows("blockack", 2, 4, 10),
+                forward=_shared_link(), reverse=_shared_link(), seed=5,
+                arbiter=unbounded,
+            )
+        flows = uniform_flows("blockack", 2, 4, 10)
+        for spec in flows:
+            spec.sender.timeout_period = 12.0
+        session = run_flows(
+            flows, forward=_shared_link(), reverse=_shared_link(), seed=5,
+            arbiter=unbounded,
+        )
+        assert session.completed and session.in_order
+        assert session.delivered == 20
+
     def test_per_flow_actor_names_in_trace(self):
         session = run_flows(
             uniform_flows("blockack", 2, 4, 10),
