@@ -4,7 +4,7 @@ Each assertion is a predicate over a :class:`~repro.verify.state.SystemState`;
 :func:`check_invariant` evaluates all three and returns the list of
 violated clauses (empty when the state satisfies the invariant).  The
 explorer calls it at every reachable state of its graph, the one that
-E8, E9 and ``blockack check`` read; the refinement replayer calls it
+E8, E9 and ``blockack check`` read; the refinement replay calls it
 after every replayed trace step, and the convergence checker at every
 state of a recovery search, where it counts transient violations.
 
