@@ -1,6 +1,9 @@
 """Tests for full-duplex operation with piggybacked acknowledgments."""
 
+import hashlib
+import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -230,3 +233,59 @@ class TestDuplexTransfers:
                 a, b, GreedySource(10), GreedySource(10),
                 link_ab=LinkSpec(delay=ExponentialDelay(1.0)),
             )
+
+
+class TestDuplexPins:
+    """Literal digests of lossy duplex runs: the derived timeout of each
+    direction, delivery counts, order, sender and mux stats.
+
+    A's hold differs from B's, so a timeout that added the wrong
+    endpoint's hold would move the digest.
+    """
+
+    # (seed, A's hold, w) -> sha256 of the result and both timeouts
+    PINS = {
+        (1, 0.25, 4): "ce55ce64ab5ca7909c824fa9ba7365b7"
+                      "1ae73f21f04e15671560786349c51964",
+        (1, 0.25, 8): "b9d9a0c308e29290a3aaa8ce7ae8ecc2"
+                      "8b2d5384b8d03c6ea3d94c9394391d67",
+        (1, 1.0, 4): "f70c2ea1808f9a96fb16bd9dfa747894"
+                     "17144f66b3d1c2a5cd28c9885bfd9ba1",
+        (1, 1.0, 8): "6553db518053a8683c3ef5996dec4c7d"
+                     "ab5ba4e60470503b1d0df7304c6b5bd5",
+        (2, 0.25, 4): "ef61d4832bb4ecd2c725a112394fca31"
+                      "1d5388ab2614ce723de7938f83b43caa",
+        (2, 0.25, 8): "6ddf756acdc08f9f8fe4f438a029d6ee"
+                      "3d73bc73806059c9058ec8f3b5bb37ec",
+        (2, 1.0, 4): "4a0d31d42297c0f131449cd9500874a6"
+                     "980300d065d2af7a0dcde55b469572d0",
+        (2, 1.0, 8): "817948b67a7bf49b50bbc0013fec79c1"
+                     "4eed4a234a041392d4f076bfe14f9906",
+    }
+
+    @pytest.mark.parametrize("seed,hold,window", sorted(PINS))
+    def test_lossy_duplex_digest(self, seed, hold, window):
+        a = DuplexEndpoint(
+            "A", window, numbering=ModularNumbering(window),
+            standalone_delay=hold,
+        )
+        b = DuplexEndpoint(
+            "B", window, numbering=ModularNumbering(window),
+            standalone_delay=0.5,
+        )
+        link = lambda: LinkSpec(
+            delay=UniformDelay(0.5, 1.5), loss=BernoulliLoss(0.05)
+        )
+        result = run_duplex(
+            a, b, GreedySource(80), GreedySource(60),
+            link_ab=link(), link_ba=link(), seed=seed, max_time=50_000.0,
+        )
+        assert result.correct
+        pinned = {
+            "result": asdict(result),
+            "timeouts": [a.sender.timeout_period, b.sender.timeout_period],
+        }
+        text = json.dumps(pinned, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            self.PINS[(seed, hold, window)]
+        )

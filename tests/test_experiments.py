@@ -1,5 +1,8 @@
 """Tests for the experiment suite (structure + quick-mode reproduction)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.common import (
@@ -60,12 +63,27 @@ class TestLinks:
 class TestQuickReproduction:
     """Every experiment must reproduce its claim, even in quick mode."""
 
+    #: sha256 of quick ``result.data`` (JSON, sorted keys) for the
+    #: experiments that run adaptive retransmission: every RTO, srtt,
+    #: rttvar, degrade count and timeout count of their adaptive cells
+    DATA_DIGESTS = {
+        "e14": "1ece244b2d3b572f44fbc003ea8b913c"
+               "1cbfd54236d7f406c67acd4955d9ffb9",
+        "e16": "a4f3f338abba4237b298c3cde0203d7c"
+               "2dafefc5d2496ebaaa7c16700b4606c0",
+    }
+
     @pytest.mark.parametrize("exp_id", [f"e{i}" for i in range(1, 17)])
     def test_experiment_reproduces(self, exp_id):
         result = run_experiment(exp_id, quick=True)
         assert result.reproduced, result.render()
         assert result.table
         assert result.findings
+        if exp_id in self.DATA_DIGESTS:
+            text = json.dumps(result.data, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == (
+                self.DATA_DIGESTS[exp_id]
+            )
 
 
 class TestResultRendering:
