@@ -47,7 +47,6 @@ from repro.experiments.common import (
     protocol_config,
     run_grid,
 )
-from repro.robustness.controller import AdaptiveConfig
 from repro.robustness.faults import CrashRestart, FaultPlan
 
 __all__ = ["EXPERIMENT"]
@@ -71,7 +70,7 @@ def _fault_plan(seed: int) -> FaultPlan:
     )
 
 
-def _config(adaptive, total: int, seed: int):
+def _config(adaptive: bool, total: int, seed: int):
     return protocol_config(
         "blockack",
         WINDOW,
@@ -91,18 +90,18 @@ def run(quick: bool = False) -> ExperimentResult:
     seeds = SEEDS_QUICK if quick else SEEDS
     total = 300 if quick else 600
 
-    variants = (("fixed", None), ("adaptive", AdaptiveConfig()))
+    variants = (("fixed", False), ("adaptive", True))
     configs = [
-        _config(config, total, seed)
+        _config(adaptive, total, seed)
         for seed in seeds
-        for _, config in variants
+        for _, adaptive in variants
     ]
     results = iter(run_grid(configs))
 
     rows = []
     data = {}
     for seed in seeds:
-        for label, config in variants:
+        for label, adaptive in variants:
             result = next(results)
             violations = len(result.monitor.violations)
             faults = result.fault_stats
@@ -116,7 +115,7 @@ def run(quick: bool = False) -> ExperimentResult:
                 "restarts": faults["restarts"],
                 "corrupted": faults["corrupt_forward"],
             }
-            if config is not None:
+            if adaptive:
                 row["adaptive"] = result.sender_stats["adaptive"]
             data[f"{label}/{seed}"] = row
             rows.append(

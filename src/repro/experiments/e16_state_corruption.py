@@ -49,7 +49,6 @@ from repro.experiments.common import (
     protocol_config,
     run_grid,
 )
-from repro.robustness.controller import AdaptiveConfig
 from repro.robustness.corruption import SEVERITIES, SITES, StateCorruption
 from repro.robustness.faults import FaultPlan
 
@@ -62,7 +61,7 @@ CORRUPT_AT = 40.0  # virtual time of the corruption event, mid-transfer
 #: the five protocols of the comparison suite; block ack runs adaptive so
 #: the sender.rtt site hits a live estimator
 PROTOCOLS = (
-    ("blockack", {"timeout_mode": "per_message_safe", "adaptive": AdaptiveConfig()}),
+    ("blockack", {"timeout_mode": "per_message_safe", "adaptive": True}),
     ("blockack-bounded", {}),
     ("gobackn", {}),
     ("selective-repeat", {}),

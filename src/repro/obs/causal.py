@@ -92,7 +92,8 @@ FLIGHT_RING_CAPACITY = 1024
 #: Backoff-ladder position (consecutive expiries of one timer key) at
 #: which the flight recorder considers the run anomalous.  The default
 #: sits above anything a few-percent-loss run produces and below the
-#: ladder a brownout or dead link climbs (dead_after defaults to 12).
+#: ladder a brownout or dead link climbs
+#: (:data:`repro.robustness.budget.DEAD_AFTER` is 12).
 BACKOFF_TRIGGER_ATTEMPTS = 6
 
 #: Jain fairness index below which a multi-flow session is anomalous.

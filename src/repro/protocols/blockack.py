@@ -90,7 +90,7 @@ from repro.core.numbering import Numbering, UnboundedNumbering
 from repro.core.window import ReceiverWindow, SenderWindow
 from repro.protocols.ack_policy import AckPolicy, EagerAckPolicy
 from repro.protocols.window_core import WindowedReceiver, WindowedSender
-from repro.robustness.controller import AdaptiveConfig
+from repro.robustness.controller import DEGRADE_FACTOR
 from repro.trace.events import EventKind
 
 __all__ = [
@@ -155,15 +155,14 @@ class BlockAckSender(WindowedSender):
         ``ModularNumbering(..., lookahead=K)`` when wire numbers are
         bounded.  ``K = 1`` is the paper's base protocol.
     adaptive:
-        Optional :class:`~repro.robustness.controller.AdaptiveConfig`.
-        When set, timer periods come from a
+        When true, timer periods come from a
         :class:`~repro.robustness.controller.RetransmissionController`
-        (Jacobson/Karels RTO, exponential backoff, retry budget) instead
-        of the fixed ``timeout_period``, and sustained timeout runs
-        degrade the window and eventually declare the link dead
-        (:attr:`link_dead`).  ``None`` (the default) keeps the paper's
-        fixed-timer behavior bit-for-bit.  Not supported in ``oracle``
-        mode, which has no timers to adapt.
+        (Jacobson/Karels RTO floored at ``timeout_period``, exponential
+        backoff, retry budget) instead of the fixed ``timeout_period``,
+        and sustained timeout runs degrade the window and eventually
+        declare the link dead (:attr:`link_dead`).  ``False`` (the
+        default) keeps the paper's fixed-timer behavior bit-for-bit.
+        Not supported in ``oracle`` mode, which has no timers to adapt.
     """
 
     timer_name = "retx"
@@ -177,13 +176,13 @@ class BlockAckSender(WindowedSender):
         timeout_period: Optional[float] = None,
         reverse_lifetime: Optional[float] = None,
         lookahead: int = 1,
-        adaptive: Optional[AdaptiveConfig] = None,
+        adaptive: bool = False,
     ) -> None:
         if timeout_mode not in TIMEOUT_MODES:
             raise ValueError(
                 f"timeout_mode must be one of {TIMEOUT_MODES}, got {timeout_mode!r}"
             )
-        if adaptive is not None and timeout_mode == "oracle":
+        if adaptive and timeout_mode == "oracle":
             raise ValueError("adaptive retransmission needs timers; oracle has none")
         super().__init__(timeout_period=timeout_period, adaptive=adaptive)
         self.window = SenderWindow(window, lookahead=lookahead)
@@ -313,7 +312,7 @@ class BlockAckSender(WindowedSender):
 
     def _degrade(self) -> None:
         """Graceful degradation: shrink the effective window one step."""
-        new_window = max(1, int(self.window.w * self.adaptive.degrade_factor))
+        new_window = max(1, int(self.window.w * DEGRADE_FACTOR))
         if new_window < self.window.w:
             self.trace.record(
                 self.actor_name,

@@ -31,7 +31,6 @@ from repro.core.bounded import BoundedReceiverBook, BoundedSenderBook
 from repro.core.messages import BlockAck, DataMessage
 from repro.protocols.ack_policy import AckPolicy, EagerAckPolicy
 from repro.protocols.window_core import WindowedReceiver, WindowedSender
-from repro.robustness.controller import AdaptiveConfig
 from repro.trace.events import EventKind
 
 __all__ = ["BoundedBlockAckSender", "BoundedBlockAckReceiver"]
@@ -40,12 +39,12 @@ __all__ = ["BoundedBlockAckSender", "BoundedBlockAckReceiver"]
 class BoundedBlockAckSender(WindowedSender):
     """Sender with O(w) total state: Section V's final sender program.
 
-    ``adaptive`` optionally replaces the fixed timeout with a
+    ``adaptive=True`` replaces the fixed timeout with a
     :class:`~repro.robustness.controller.RetransmissionController`.  The
     wire-number domain is fixed at ``2w`` by construction, so graceful
     degradation cannot shrink the window here; a DEGRADE verdict falls
     back to a plain (backed-off) retry, and only LINK_DEAD changes
-    behavior.  ``None`` keeps the fixed-timer program bit-for-bit.
+    behavior.  ``False`` keeps the fixed-timer program bit-for-bit.
     """
 
     timer_style = "single"
@@ -55,7 +54,7 @@ class BoundedBlockAckSender(WindowedSender):
         self,
         window: int,
         timeout_period: Optional[float] = None,
-        adaptive: Optional[AdaptiveConfig] = None,
+        adaptive: bool = False,
     ) -> None:
         super().__init__(timeout_period=timeout_period, adaptive=adaptive)
         self.book = BoundedSenderBook(window)

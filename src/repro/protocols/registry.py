@@ -19,7 +19,6 @@ from repro.core.numbering import ModularNumbering
 from repro.protocols.ack_policy import AckPolicy
 from repro.protocols.base import ReceiverEndpoint, SenderEndpoint
 from repro.protocols.blockack import BlockAckReceiver, BlockAckSender
-from repro.robustness.controller import AdaptiveConfig
 
 __all__ = ["PROTOCOLS", "make_pair", "protocol_names"]
 
@@ -33,7 +32,7 @@ def _blockack(
     bounded_wire: bool = False,
     ack_policy: Optional[AckPolicy] = None,
     timeout_period: Optional[float] = None,
-    adaptive: Optional[AdaptiveConfig] = None,
+    adaptive: bool = False,
     lookahead: int = 1,
 ) -> Pair:
     numbering = (
@@ -64,7 +63,7 @@ def _blockack_bounded(
     window: int,
     ack_policy: Optional[AckPolicy] = None,
     timeout_period: Optional[float] = None,
-    adaptive: Optional[AdaptiveConfig] = None,
+    adaptive: bool = False,
 ) -> Pair:
     from repro.protocols.blockack_bounded import (
         BoundedBlockAckReceiver,
@@ -81,7 +80,7 @@ def _blockack_bounded(
 def _gobackn(
     window: int,
     timeout_period: Optional[float] = None,
-    adaptive: Optional[AdaptiveConfig] = None,
+    adaptive: bool = False,
 ) -> Pair:
     from repro.protocols.gobackn import GoBackNReceiver, GoBackNSender
 
@@ -94,7 +93,7 @@ def _gobackn(
 def _selective_repeat(
     window: int,
     timeout_period: Optional[float] = None,
-    adaptive: Optional[AdaptiveConfig] = None,
+    adaptive: bool = False,
 ) -> Pair:
     from repro.protocols.selective_repeat import (
         SelectiveRepeatReceiver,

@@ -29,7 +29,7 @@ from typing import Any, Optional
 from repro.core.messages import BlockAck, DataMessage
 from repro.core.window import ReceiverWindow, SenderWindow
 from repro.protocols.window_core import WindowedReceiver, WindowedSender
-from repro.robustness.controller import AdaptiveConfig
+from repro.robustness.controller import DEGRADE_FACTOR
 from repro.trace.events import EventKind
 
 __all__ = ["SelectiveRepeatSender", "SelectiveRepeatReceiver"]
@@ -38,10 +38,10 @@ __all__ = ["SelectiveRepeatSender", "SelectiveRepeatReceiver"]
 class SelectiveRepeatSender(WindowedSender):
     """Selective-repeat sender: per-message acks and timers.
 
-    ``adaptive`` optionally replaces the fixed per-message timeout with a
+    ``adaptive=True`` replaces the fixed per-message timeout with a
     :class:`~repro.robustness.controller.RetransmissionController`
     (estimated RTO, per-message backoff, retry budget with graceful
-    degradation); ``None`` keeps the fixed-timer baseline bit-for-bit.
+    degradation); ``False`` keeps the fixed-timer baseline bit-for-bit.
     """
 
     timer_style = "per_seq"
@@ -51,7 +51,7 @@ class SelectiveRepeatSender(WindowedSender):
         self,
         window: int,
         timeout_period: Optional[float] = None,
-        adaptive: Optional[AdaptiveConfig] = None,
+        adaptive: bool = False,
     ) -> None:
         super().__init__(timeout_period=timeout_period, adaptive=adaptive)
         self.window = SenderWindow(window)
@@ -66,9 +66,7 @@ class SelectiveRepeatSender(WindowedSender):
         self._transmit(seq, attempt=1)
 
     def _degrade(self) -> None:
-        self.window.resize(
-            max(1, int(self.window.w * self.adaptive.degrade_factor))
-        )
+        self.window.resize(max(1, int(self.window.w * DEGRADE_FACTOR)))
 
     def on_message(self, ack: Any) -> None:
         if not isinstance(ack, BlockAck) or not ack.is_singleton:

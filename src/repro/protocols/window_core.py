@@ -16,7 +16,7 @@ network.
 This module factors the scaffolding into two bases:
 
 * :class:`WindowedSender` — owns the timeout period, the optional
-  :class:`~repro.robustness.controller.AdaptiveConfig` plumbing, the
+  :class:`~repro.robustness.controller.RetransmissionController`, the
   payload store, and the retransmission timers (``timer_style`` picks
   one Section-II style timer or a per-sequence bank).  Subclasses
   supply the *ack policy side* of the sender: how a wire message is
@@ -49,7 +49,7 @@ from typing import Any, Dict, Iterable, Optional
 from repro.core.messages import DataMessage
 from repro.protocols.base import ReceiverEndpoint, SenderEndpoint
 from repro.robustness.budget import RetryVerdict
-from repro.robustness.controller import AdaptiveConfig, RetransmissionController
+from repro.robustness.controller import RetransmissionController
 from repro.sim.timers import AdaptiveTimer, AdaptiveTimerBank
 from repro.trace.events import EventKind
 
@@ -77,12 +77,12 @@ class WindowedSender(SenderEndpoint):
         timer-driven styles (the runner derives a provably safe value
         from the channel bounds when left ``None``).
     adaptive:
-        Optional :class:`~repro.robustness.controller.AdaptiveConfig`;
-        when set, timer periods come from a
+        When true, timer periods come from a
         :class:`~repro.robustness.controller.RetransmissionController`
-        and sustained timeout runs degrade the window
+        whose RTO starts at ``timeout_period`` and never falls below
+        it, and sustained timeout runs degrade the window
         (:meth:`_degrade`) and eventually declare the link dead.
-        ``None`` keeps fixed-timer behaviour bit-for-bit.
+        ``False`` keeps fixed-timer behaviour bit-for-bit.
 
     Class attributes subclasses may override
     ----------------------------------------
@@ -101,7 +101,7 @@ class WindowedSender(SenderEndpoint):
     def __init__(
         self,
         timeout_period: Optional[float] = None,
-        adaptive: Optional[AdaptiveConfig] = None,
+        adaptive: bool = False,
     ) -> None:
         super().__init__()
         self.timeout_period = timeout_period
@@ -121,8 +121,8 @@ class WindowedSender(SenderEndpoint):
     def _after_attach(self) -> None:
         if self.timeout_period is None:
             raise ValueError(self.attach_error)
-        if self.adaptive is not None:
-            self._retx = self.adaptive.build(self.timeout_period)
+        if self.adaptive:
+            self._retx = RetransmissionController(self.timeout_period)
         self._build_timers()
 
     def _build_timers(self) -> None:

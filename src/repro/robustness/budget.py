@@ -6,10 +6,11 @@ run of *consecutive* timeouts since the last acknowledgment progress and
 escalates through three verdicts:
 
 * ``RETRY`` — within budget, retransmit normally;
-* ``DEGRADE`` — the run crossed a soft threshold: shrink the effective
-  window (fewer messages hammering a sick channel) and keep going;
-* ``LINK_DEAD`` — the run crossed the hard limit: stop retransmitting
-  and surface the verdict to the application.
+* ``DEGRADE`` — every :data:`DEGRADE_AFTER` timeouts of the run: shrink
+  the effective window (fewer messages hammering a sick channel) and
+  keep going;
+* ``LINK_DEAD`` — the run reached :data:`DEAD_AFTER`: stop
+  retransmitting and surface the verdict to the application.
 
 Any acknowledgment progress resets the run — a healthy link never
 degrades.
@@ -19,7 +20,13 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["RetryBudget", "RetryVerdict"]
+__all__ = ["RetryBudget", "RetryVerdict", "DEGRADE_AFTER", "DEAD_AFTER"]
+
+#: consecutive timeouts per DEGRADE verdict (a long outage degrades in
+#: steps: at 3, 6, 9, ...)
+DEGRADE_AFTER = 3
+#: consecutive timeouts at which every further timeout is LINK_DEAD
+DEAD_AFTER = 12
 
 
 class RetryVerdict(enum.Enum):
@@ -31,28 +38,9 @@ class RetryVerdict(enum.Enum):
 
 
 class RetryBudget:
-    """Escalating verdicts over consecutive unproductive timeouts.
+    """Escalating verdicts over consecutive unproductive timeouts."""
 
-    Parameters
-    ----------
-    degrade_after:
-        Every time the consecutive-timeout run grows by this many, a
-        ``DEGRADE`` verdict is issued (so a long outage degrades in
-        steps: at ``degrade_after``, ``2*degrade_after``, ...).
-    dead_after:
-        Once the run reaches this length, every further timeout yields
-        ``LINK_DEAD``.
-    """
-
-    def __init__(self, degrade_after: int = 3, dead_after: int = 12) -> None:
-        if degrade_after < 1:
-            raise ValueError(f"degrade_after must be >= 1, got {degrade_after}")
-        if dead_after < degrade_after:
-            raise ValueError(
-                f"dead_after {dead_after} below degrade_after {degrade_after}"
-            )
-        self.degrade_after = degrade_after
-        self.dead_after = dead_after
+    def __init__(self) -> None:
         self.consecutive = 0
         self.total_timeouts = 0
         self.degrades = 0
@@ -62,10 +50,10 @@ class RetryBudget:
         """Record one fired timeout; return the escalation verdict."""
         self.consecutive += 1
         self.total_timeouts += 1
-        if self.consecutive >= self.dead_after:
+        if self.consecutive >= DEAD_AFTER:
             self.exhausted = True
             return RetryVerdict.LINK_DEAD
-        if self.consecutive % self.degrade_after == 0:
+        if self.consecutive % DEGRADE_AFTER == 0:
             self.degrades += 1
             return RetryVerdict.DEGRADE
         return RetryVerdict.RETRY
@@ -80,7 +68,4 @@ class RetryBudget:
         self.exhausted = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RetryBudget(run={self.consecutive}, "
-            f"degrade_after={self.degrade_after}, dead_after={self.dead_after})"
-        )
+        return f"RetryBudget(run={self.consecutive})"

@@ -1,12 +1,12 @@
 """The adaptive-retransmission controller protocol senders consult.
 
-One :class:`RetransmissionController` per sender bundles the three
-mechanisms of this package — RTT estimation, exponential backoff, and
-the retry budget — behind the two questions a sender actually asks:
+One :class:`RetransmissionController` per sender bundles RTT
+estimation, exponential backoff and the retry budget behind the two
+questions a sender actually asks:
 
 * *how long should this (re)arm be?* — :meth:`period`, the estimator's
-  RTO times the backoff factor for that timer's consecutive-expiry
-  count;
+  RTO doubled for each consecutive expiry of that timer, at most
+  :data:`MAX_DOUBLINGS` times (x8);
 * *this timer fired; now what?* — :meth:`on_timeout`, which returns a
   :class:`~repro.robustness.budget.RetryVerdict` (retry / degrade /
   link dead).
@@ -15,6 +15,11 @@ The sender reports its side of the conversation through
 :meth:`on_send` (every transmission, flagging retransmissions so Karn's
 rule can discard ambiguous samples) and :meth:`on_ack` (every
 acknowledgment, with the newly acknowledged sequence numbers).
+
+The controller has one input, the sender's ``timeout_period``: the RTO
+starts there and never falls below it, so in simulated transfers,
+where that period is the derived safe one, adaptivity only ever
+lengthens timers.  Every other value is a module constant.
 
 Senders with a single timer (the Section-II ``simple`` mode) use
 ``key=None`` for period/backoff bookkeeping; per-message-timer senders
@@ -25,86 +30,27 @@ number.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Set
 
-from repro.robustness.backoff import BackoffPolicy
-from repro.robustness.budget import RetryBudget, RetryVerdict
+from repro.robustness.budget import DEAD_AFTER, RetryBudget, RetryVerdict
 from repro.robustness.rtt import RttEstimator
 
-__all__ = ["AdaptiveConfig", "RetransmissionController"]
+__all__ = ["RetransmissionController", "DEGRADE_FACTOR", "MAX_DOUBLINGS"]
 
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Knobs for adaptive retransmission.  Pass to a sender's ``adaptive=``.
-
-    ``initial_rto`` / ``min_rto`` left ``None`` inherit the sender's
-    (possibly runner-derived) fixed ``timeout_period`` — so inside the
-    simulator the RTO floor is the *provably safe* period and adaptivity
-    can only lengthen timers, preserving assertion 8.  On real links set
-    explicit values.
-    """
-
-    initial_rto: Optional[float] = None  # None: sender's timeout_period
-    min_rto: Optional[float] = None  # None: sender's timeout_period
-    max_rto: Optional[float] = None  # None: uncapped (backoff cap still applies)
-    alpha: float = 0.125  # srtt gain (Jacobson/Karels)
-    beta: float = 0.25  # rttvar gain
-    k: float = 4.0  # rto = srtt + k * rttvar
-    backoff_multiplier: float = 2.0
-    backoff_cap: float = 8.0  # max backoff factor
-    jitter: float = 0.0  # up-to fraction added to each period
-    jitter_seed: int = 0  # dedicated stream: never perturbs the channel
-    degrade_after: int = 3  # consecutive timeouts per degradation step
-    degrade_factor: float = 0.5  # window multiplier per degradation step
-    dead_after: int = 12  # consecutive timeouts until LINK_DEAD
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.degrade_factor <= 1.0:
-            raise ValueError(
-                f"degrade_factor must be in (0, 1], got {self.degrade_factor}"
-            )
-
-    def build(self, fallback_rto: Optional[float]) -> "RetransmissionController":
-        """Instantiate the controller, resolving ``None`` knobs."""
-        return RetransmissionController(self, fallback_rto)
+#: a timer's period doubles with each consecutive expiry, at most this
+#: many times (x8)
+MAX_DOUBLINGS = 3
+#: window multiplier a sender applies on each DEGRADE verdict
+DEGRADE_FACTOR = 0.5
 
 
 class RetransmissionController:
-    """Live adaptive-retransmission state for one sender."""
+    """Live adaptive-retransmission state for one sender, whose RTO
+    starts at ``period`` and never falls below it."""
 
-    def __init__(
-        self, config: AdaptiveConfig, fallback_rto: Optional[float]
-    ) -> None:
-        initial = (
-            config.initial_rto if config.initial_rto is not None else fallback_rto
-        )
-        if initial is None:
-            raise ValueError(
-                "adaptive retransmission needs an initial RTO: set "
-                "AdaptiveConfig.initial_rto or the sender's timeout_period"
-            )
-        min_rto = config.min_rto if config.min_rto is not None else fallback_rto
-        self.config = config
-        self.estimator = RttEstimator(
-            initial_rto=initial,
-            alpha=config.alpha,
-            beta=config.beta,
-            k=config.k,
-            min_rto=min_rto,
-            max_rto=config.max_rto,
-        )
-        self.backoff = BackoffPolicy(
-            multiplier=config.backoff_multiplier,
-            cap=config.backoff_cap,
-            jitter=config.jitter,
-            rng=random.Random(config.jitter_seed),
-        )
-        self.budget = RetryBudget(
-            degrade_after=config.degrade_after, dead_after=config.dead_after
-        )
+    def __init__(self, period: float) -> None:
+        self.estimator = RttEstimator(period)
+        self.budget = RetryBudget()
         self.link_dead = False
         self.dead_key: Optional[Any] = None  # timer key whose expiry killed the link
         self.dead_at: Optional[float] = None  # virtual time of that expiry
@@ -126,8 +72,10 @@ class RetransmissionController:
 
     def period(self, key: Any = None) -> float:
         """Arming period for the timer identified by ``key``."""
-        return self.estimator.rto * self.backoff.factor(
-            self._attempts.get(key, 0)
+        # cap the exponent, not the power: a corrupted attempt count
+        # must not overflow the float before repair clears it
+        return self.estimator.rto * 2.0 ** min(
+            self._attempts.get(key, 0), MAX_DOUBLINGS
         )
 
     def on_timeout(self, key: Any = None, now: Optional[float] = None) -> RetryVerdict:
@@ -202,7 +150,8 @@ class RetransmissionController:
         construction.  Backoff attempt counts and the retry budget's
         consecutive-timeout run are clamped to the ranges the budget's
         own escalation logic could have produced: a run that reached
-        ``dead_after`` would already have declared the link dead, so a
+        :data:`~repro.robustness.budget.DEAD_AFTER` would already have
+        declared the link dead, so a
         live controller holding one is corrupt (and one more expiry
         would spuriously kill the link).  Returns a description of each
         repair applied.
@@ -220,11 +169,10 @@ class RetransmissionController:
                 )
                 est.reset()
                 break
-        dead_after = self.budget.dead_after
         bogus_keys = [
             key
             for key, count in self._attempts.items()
-            if count < 0 or count >= dead_after
+            if count < 0 or count >= DEAD_AFTER
         ]
         for key in bogus_keys:
             repairs.append(
@@ -233,7 +181,7 @@ class RetransmissionController:
             )
             del self._attempts[key]
         if not self.link_dead and not (
-            0 <= self.budget.consecutive < dead_after
+            0 <= self.budget.consecutive < DEAD_AFTER
         ):
             repairs.append(
                 f"consecutive-timeout run reset (was {self.budget.consecutive})"

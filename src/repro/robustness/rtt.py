@@ -4,12 +4,13 @@ The retransmission timeout (RTO) is derived from two exponentially
 weighted moving averages maintained per connection:
 
 * ``srtt`` — the smoothed round-trip time,
-  ``srtt += alpha * (sample - srtt)``;
+  ``srtt += ALPHA * (sample - srtt)``;
 * ``rttvar`` — the smoothed mean deviation,
-  ``rttvar += beta * (|sample - srtt| - rttvar)``;
+  ``rttvar += BETA * (|sample - srtt| - rttvar)``;
 
-with ``rto = srtt + k * rttvar`` clamped to ``[min_rto, max_rto]``.
-The classic constants are ``alpha = 1/8``, ``beta = 1/4``, ``k = 4``.
+with ``rto = srtt + K * rttvar``, never below the initial RTO.  The
+gains are the classic constants ``ALPHA = 1/8``, ``BETA = 1/4``,
+``K = 4``.
 
 Karn's rule — samples from retransmitted messages are ambiguous (the
 acknowledgment may answer either copy) and must be discarded — is the
@@ -17,11 +18,12 @@ acknowledgment may answer either copy) and must be discarded — is the
 RetransmissionController` tracks which sequence numbers were ever
 retransmitted and never feeds their samples here.
 
-In simulated transfers the floor ``min_rto`` defaults to the provably
-safe fixed period (see ``safe_timeout_period``), so adaptivity can only
-*lengthen* timers — backoff and degradation — and never violates the
-paper's one-copy-in-transit requirement (assertion 8).  On real links,
-where no safe bound exists, set an explicit floor.
+The controller passes the sender's ``timeout_period`` as the initial
+RTO, which in simulated transfers is the provably safe fixed period
+(see ``safe_timeout_period``).  Because that value is also the floor,
+adaptivity can only *lengthen* timers — backoff and degradation — and
+never violates the paper's one-copy-in-transit requirement
+(assertion 8).
 """
 
 from __future__ import annotations
@@ -30,37 +32,22 @@ from typing import Optional
 
 __all__ = ["RttEstimator"]
 
+#: srtt gain
+ALPHA = 0.125
+#: rttvar gain
+BETA = 0.25
+#: rttvar weight in the RTO
+K = 4.0
+
 
 class RttEstimator:
-    """Jacobson/Karels smoothed RTT and variance, yielding an RTO."""
+    """Jacobson/Karels smoothed RTT and variance, yielding an RTO that
+    starts at ``initial_rto`` and never falls below it."""
 
-    def __init__(
-        self,
-        initial_rto: float,
-        alpha: float = 0.125,
-        beta: float = 0.25,
-        k: float = 4.0,
-        min_rto: Optional[float] = None,
-        max_rto: Optional[float] = None,
-    ) -> None:
+    def __init__(self, initial_rto: float) -> None:
         if initial_rto <= 0:
             raise ValueError(f"initial_rto must be positive, got {initial_rto}")
-        if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
-            raise ValueError(f"alpha/beta must be in (0, 1), got {alpha}, {beta}")
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if (
-            min_rto is not None
-            and max_rto is not None
-            and min_rto > max_rto
-        ):
-            raise ValueError(f"min_rto {min_rto} exceeds max_rto {max_rto}")
         self.initial_rto = initial_rto
-        self.alpha = alpha
-        self.beta = beta
-        self.k = k
-        self.min_rto = min_rto
-        self.max_rto = max_rto
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.samples = 0
@@ -74,22 +61,16 @@ class RttEstimator:
             self.srtt = rtt
             self.rttvar = rtt / 2.0
         else:
-            self.rttvar += self.beta * (abs(self.srtt - rtt) - self.rttvar)
-            self.srtt += self.alpha * (rtt - self.srtt)
+            self.rttvar += BETA * (abs(self.srtt - rtt) - self.rttvar)
+            self.srtt += ALPHA * (rtt - self.srtt)
         self.samples += 1
 
     @property
     def rto(self) -> float:
-        """Current retransmission timeout, clamped to the configured band."""
+        """Current retransmission timeout, floored at the initial RTO."""
         if self.srtt is None:
-            value = self.initial_rto
-        else:
-            value = self.srtt + self.k * self.rttvar
-        if self.min_rto is not None:
-            value = max(value, self.min_rto)
-        if self.max_rto is not None:
-            value = min(value, self.max_rto)
-        return value
+            return self.initial_rto
+        return max(self.srtt + K * self.rttvar, self.initial_rto)
 
     def reset(self) -> None:
         """Forget all samples (volatile state lost on endpoint restart)."""

@@ -177,7 +177,7 @@ def run_transfer(
     ``fault_plan`` (a :class:`~repro.robustness.faults.FaultPlan`)
     installs scripted frame corruption, brownout loss ramps, and endpoint
     crash/restart on top of the links; injection counters come back in
-    ``result.fault_stats``.  A sender running with ``adaptive=`` config
+    ``result.fault_stats``.  A sender running with ``adaptive=True``
     additionally reports its controller under
     ``result.sender_stats["adaptive"]``.  A plan carrying
     :class:`~repro.robustness.corruption.StateCorruption` events attaches

@@ -27,7 +27,6 @@ from repro.core.window import SenderWindow
 from repro.perf.sweep import serialize_result
 from repro.protocols.blockack import BlockAckReceiver, BlockAckSender
 from repro.protocols.registry import make_pair
-from repro.robustness import AdaptiveConfig
 from repro.robustness.corruption import StateCorruption
 from repro.robustness.faults import CrashRestart, FaultPlan
 from repro.sim.host import mixed_flows, run_flows, session_to_transfer
@@ -148,7 +147,7 @@ def _run(sender_cls, window, lookahead, bounded, adaptive, forward_loss,
     numbering = ModularNumbering(window, lookahead=lookahead) if bounded else None
     sender = sender_cls(
         window, numbering=numbering, timeout_mode="per_message_safe",
-        lookahead=lookahead, adaptive=AdaptiveConfig() if adaptive else None,
+        lookahead=lookahead, adaptive=adaptive,
     )
     receiver = BlockAckReceiver(window, numbering=numbering)
 

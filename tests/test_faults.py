@@ -169,13 +169,11 @@ class TestFaultPlan:
         assert result.forward_stats["lost"] > 0
 
     def test_crash_with_adaptive_sender(self):
-        from repro.robustness.controller import AdaptiveConfig
-
         plan = FaultPlan(
             forward_brownout=[(20.0, 0.0), (25.0, 0.6), (35.0, 0.6), (40.0, 0.0)],
             crashes=[CrashRestart(at=45.0, outage=5.0, endpoint="sender")],
         )
-        result = run_with_plan(plan, adaptive=AdaptiveConfig())
+        result = run_with_plan(plan, adaptive=True)
         assert result.completed and result.in_order
         assert result.monitor.violations == []
         # crash wiped the estimator: samples restarted from zero after t=45

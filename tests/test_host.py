@@ -352,7 +352,6 @@ _PIN_BASE = dict(
 
 
 def _pinned_configs():
-    from repro.robustness import AdaptiveConfig
     from repro.robustness.corruption import StateCorruption
     from repro.robustness.faults import CrashRestart, FaultPlan
 
@@ -362,7 +361,7 @@ def _pinned_configs():
             **_PIN_BASE, max_time=50_000.0, monitor_invariants=True,
             protocol_kwargs={
                 "timeout_mode": "per_message_safe",
-                "adaptive": AdaptiveConfig(),
+                "adaptive": True,
             },
             fault_plan=FaultPlan(
                 seed=5,

@@ -91,9 +91,8 @@ SURFACE = {
         ),
     },
     "repro.robustness": {
-        "repro.robustness.backoff": ("BackoffPolicy",),
         "repro.robustness.budget": ("RetryBudget", "RetryVerdict"),
-        "repro.robustness.controller": ("AdaptiveConfig", "RetransmissionController"),
+        "repro.robustness.controller": ("RetransmissionController",),
         "repro.robustness.corruption": ("StateCorruption",),
         "repro.robustness.faults": ("CrashRestart", "FaultPlan"),
         "repro.robustness.rtt": ("RttEstimator",),
@@ -150,7 +149,7 @@ SUBMODULES = {
         "window_core",
     ),
     "repro.robustness": (
-        "backoff", "budget", "controller", "corruption", "faults", "rtt",
+        "budget", "controller", "corruption", "faults", "rtt",
     ),
     "repro.analysis": ("metrics", "plot", "report", "series", "stats", "theory"),
     "repro.core": ("bounded", "messages", "numbering", "seqnum", "window"),

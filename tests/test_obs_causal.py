@@ -29,7 +29,6 @@ from repro.obs.schema import validate_file
 from repro.obs.sink import JsonlSink, load_run, summarize_run
 from repro.protocols.blockack import BlockAckReceiver
 from repro.protocols.registry import make_pair
-from repro.robustness.controller import AdaptiveConfig
 from repro.robustness.corruption import StateCorruption
 from repro.robustness.faults import CrashRestart, FaultPlan
 from repro.sim.host import run_flows, uniform_flows
@@ -63,7 +62,7 @@ def lossy_transfer(total=150, seed=7, causal=True, **kw):
 
 def dead_link_transfer(obs_dir, total=200, seed=7):
     """A link that goes permanently dead at t=30: every trigger fires."""
-    sender, receiver = make_pair("blockack", window=8, adaptive=AdaptiveConfig())
+    sender, receiver = make_pair("blockack", window=8, adaptive=True)
     return run_transfer(
         sender,
         receiver,
@@ -493,7 +492,7 @@ class TestSpanLifecyclesUnderFaults:
 
     def composed_run(self, seed=13):
         sender, receiver = make_pair(
-            "blockack", window=8, adaptive=AdaptiveConfig()
+            "blockack", window=8, adaptive=True
         )
         plan = FaultPlan(
             forward_brownout=[(8.0, 0.0), (11.0, 1.0), (1e9, 0.0)],

@@ -315,11 +315,7 @@ class TestObservabilitySession:
         assert_channel_events_match(registry, links)
 
     def test_rtt_telemetry_from_adaptive_controller(self):
-        from repro.robustness import AdaptiveConfig
-
-        sender, receiver = make_pair(
-            "blockack", window=8, adaptive=AdaptiveConfig()
-        )
+        sender, receiver = make_pair("blockack", window=8, adaptive=True)
         result = run_transfer(
             sender,
             receiver,

@@ -72,9 +72,7 @@ class TestRegistry:
 
     def test_unsupported_kwargs_raise(self):
         # a factory must not hand back a pair that ignores what was asked
-        from repro.robustness.controller import AdaptiveConfig
-
         with pytest.raises(TypeError, match="bounded_wire"):
             make_pair("gobackn", window=8, bounded_wire=True)
         with pytest.raises(TypeError, match="adaptive"):
-            make_pair("tcp-sack", window=8, adaptive=AdaptiveConfig())
+            make_pair("tcp-sack", window=8, adaptive=True)
