@@ -19,7 +19,6 @@ prescribes ("a mechanism for aging messages in transit").
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
 from typing import Optional
@@ -166,8 +165,3 @@ def reorder_probability(low: float, high: float, gap: float) -> float:
     if gap < 0:
         raise ValueError(f"gap must be non-negative, got {gap}")
     return (width - gap) ** 2 / (2.0 * width * width)
-
-
-def _self_check() -> None:  # pragma: no cover - module sanity hook
-    assert math.isclose(reorder_probability(0.0, 2.0, 0.0), 0.5)
-    assert reorder_probability(0.0, 2.0, 2.0) == 0.0

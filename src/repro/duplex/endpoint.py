@@ -133,11 +133,6 @@ class PiggybackMux:
         self.stats.frames_sent += 1
         self.channel.send(frame)
 
-    @property
-    def max_ack_holding(self) -> float:
-        """Worst-case extra latency the mux adds to an acknowledgment."""
-        return self.standalone_delay
-
 
 class DuplexEndpoint:
     """One end of a full-duplex block-acknowledgment connection."""

@@ -39,11 +39,10 @@ from repro.experiments.common import (
     protocol_config,
     run_grid,
 )
-from repro.perf.sweep import execute_config
 from repro.protocols.ack_policy import CountingAckPolicy
 from repro.sim.runner import LinkSpec
 
-__all__ = ["EXPERIMENT", "run_with_lookahead"]
+__all__ = ["EXPERIMENT"]
 
 WINDOW = 16
 ONE_WAY = 5.0  # long link: stalls are RTT-scale, so reuse has room to pay
@@ -64,13 +63,6 @@ def _config(lookahead: int, ack_loss: float, total: int, seed: int):
         timeout_mode="per_message_safe",
         ack_policy=CountingAckPolicy(ACK_BATCH, 1.0),
     )
-
-
-def run_with_lookahead(
-    lookahead: int, ack_loss: float, total: int, seed: int
-):
-    """One reuse-factor run (kept for tests and interactive use)."""
-    return execute_config(_config(lookahead, ack_loss, total, seed))
 
 
 def run(quick: bool = False) -> ExperimentResult:

@@ -67,9 +67,6 @@ class ProjectContext:
 
     files: List[FileContext] = field(default_factory=list)
 
-    def by_module(self) -> Dict[str, FileContext]:
-        return {ctx.module: ctx for ctx in self.files if ctx.module}
-
     def get_module(self, module: str) -> Optional[FileContext]:
         for ctx in self.files:
             if ctx.module == module:

@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Set
 
 __all__ = [
     "dotted_name",
     "terminal_name",
-    "call_name",
-    "iter_scopes",
     "walk_scope",
     "top_level_functions",
     "nested_function_names",
@@ -43,19 +41,6 @@ def terminal_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def call_name(node: ast.Call) -> Optional[str]:
-    """Dotted name of a call's callee, when it is a plain name chain."""
-    return dotted_name(node.func)
-
-
-def iter_scopes(tree: ast.AST) -> Iterator[ast.AST]:
-    """Yield every function-ish scope node (module, defs, lambdas)."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield node
 
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -147,21 +132,3 @@ def str_keys(node: ast.Dict) -> Dict[str, ast.expr]:
         if isinstance(key, ast.Constant) and isinstance(key.value, str):
             out[key.value] = value
     return out
-
-
-def literal_str(node: ast.expr) -> Optional[str]:
-    """The value of a string constant node, else None."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def assign_name_targets(node: ast.AST) -> Tuple[str, ...]:
-    """Plain-Name targets of an assignment statement (empty otherwise)."""
-    if isinstance(node, ast.Assign):
-        return tuple(
-            t.id for t in node.targets if isinstance(t, ast.Name)
-        )
-    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        return (node.target.id,)
-    return ()
