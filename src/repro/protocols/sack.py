@@ -64,20 +64,6 @@ class SackSender(WindowedSender):
         self._fast_retransmitted: Set[int] = set()  # once per episode
         self._dup_acks = 0
 
-    # compatibility accessors: the raw counters were public before the
-    # window-core refactor moved them onto SenderWindow
-    @property
-    def na(self) -> int:
-        return self.window.na
-
-    @property
-    def ns(self) -> int:
-        return self.window.ns
-
-    @property
-    def w(self) -> int:
-        return self.window.w
-
     # -- transmission ------------------------------------------------------
 
     def _arm_timers(self, seq: int, attempt: int) -> None:

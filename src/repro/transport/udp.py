@@ -92,23 +92,6 @@ class UdpTransport:
         )
         self.stats = TransportStats()
 
-    # back-compat counter aliases (the counters live in ``stats`` now)
-    @property
-    def sent(self) -> int:
-        return self.stats.sent
-
-    @property
-    def dropped(self) -> int:
-        return self.stats.dropped
-
-    @property
-    def received(self) -> int:
-        return self.stats.received
-
-    @property
-    def undecodable(self) -> int:
-        return self.stats.corrupt_frames
-
     @property
     def local_address(self) -> Address:
         return self._socket.getsockname()

@@ -84,7 +84,7 @@ class TestAckHandling:
         for index in range(3):
             sender.submit(f"p{index}")
         sender.on_message(CumulativeAck(1))
-        assert sender.na == 2
+        assert sender.window.na == 2
 
     def test_stale_ack_ignored(self, sim):
         from repro.channel.channel import Channel

@@ -122,7 +122,7 @@ class TestUdpTransport:
                 a.connect(lambda m: None)
                 for _ in range(10):
                     a.send(DataMessage(seq=0))
-                assert a.dropped == 10
+                assert a.stats.dropped == 10
             finally:
                 a.close()
                 b.close()
@@ -194,7 +194,6 @@ class TestTransportStats:
                 assert b.stats.corrupt_frames == 3
                 assert b.stats.received == 0
                 assert received == []
-                assert b.undecodable == 3  # back-compat alias
             finally:
                 b.close()
 
