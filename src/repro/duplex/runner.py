@@ -13,6 +13,7 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.core.numbering import ModularNumbering
 from repro.duplex.endpoint import DuplexEndpoint, DuplexFrame
+from repro.protocols.blockack import safe_timeout_period
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.runner import LinkSpec
@@ -157,8 +158,12 @@ def run_duplex(
         # each direction's ack returns on the opposite channel and may sit
         # in the peer's mux for its standalone delay first
         timeouts=(
-            bound_ab + endpoint_b.standalone_delay + bound_ba + 0.05,
-            bound_ba + endpoint_a.standalone_delay + bound_ab + 0.05,
+            safe_timeout_period(
+                bound_ab, bound_ba, endpoint_b.standalone_delay, margin=0.05
+            ),
+            safe_timeout_period(
+                bound_ba, bound_ab, endpoint_a.standalone_delay, margin=0.05
+            ),
         ),
     )
     # the host's boundary rule: an event at max_time fires, later ones
