@@ -93,6 +93,41 @@ class TestTimedModesRefineTheSpec:
         assert state.c_sr == () and state.c_rs == ()
 
 
+class TestAdaptiveRunsRefineTheSpec:
+    """Adaptive senders replay as the model's actions.  The RTO never
+    falls below the derived safe period, so every backed-off resend
+    meets action 2′'s guard, through a brownout that degrades the
+    window (a smaller window stays within the model's w)."""
+
+    @pytest.mark.parametrize("mode", ["simple", "per_message_safe"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_adaptive_brownout_run_refines(self, mode, seed):
+        from repro.channel.delay import UniformDelay
+        from repro.channel.impairments import BernoulliLoss
+        from repro.protocols.blockack import BlockAckReceiver, BlockAckSender
+        from repro.robustness.faults import FaultPlan
+        from repro.sim.runner import LinkSpec, run_transfer
+        from repro.workloads.sources import GreedySource
+
+        def link():
+            return LinkSpec(
+                delay=UniformDelay(0.4, 1.6), loss=BernoulliLoss(0.08)
+            )
+
+        brownout = ((20.0, 0.0), (25.0, 1.0), (40.0, 1.0), (45.0, 0.0))
+        sender = BlockAckSender(5, timeout_mode=mode, adaptive=True)
+        result = run_transfer(
+            sender, BlockAckReceiver(5), GreedySource(200),
+            forward=link(), reverse=link(), seed=seed, trace=True,
+            record_channel_drops=True, max_time=1_000_000.0,
+            fault_plan=FaultPlan(forward_brownout=brownout, seed=seed),
+        )
+        assert result.completed and result.in_order
+        assert result.sender_stats["adaptive"]["degrades"] > 0
+        report = replay_trace(result.trace.events, 5)
+        assert report.ok, "\n".join(report.errors[:5])
+
+
 class TestReplayerGuards:
     def test_clean_exchange_replays(self):
         events = [
