@@ -21,6 +21,12 @@ Design notes
   deterministic given a seeded random number generator.  Determinism is
   load-bearing: the trace-equivalence experiment (E7) replays two protocol
   variants under identical schedules and asserts identical behaviour.
+  The order is a counter: ``Simulator.reserve()`` takes the number the
+  next ``schedule`` would take without pushing anything, and
+  :meth:`Simulator.schedule_reserved` pushes an event under it later, so
+  that event sorts among equal-time events as if it had been scheduled
+  when the number was taken (the timer banks of :mod:`repro.sim.timers`
+  keep one event per bank this way).
 * Events may be cancelled in O(1) by marking; the queue lazily discards
   cancelled entries when they surface.  This is the standard "lazy
   deletion" idiom for binary-heap event lists.
@@ -33,6 +39,7 @@ Design notes
 from __future__ import annotations
 
 import itertools
+import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -49,7 +56,7 @@ class SimulationError(Exception):
 
 
 class ScheduleInPastError(SimulationError):
-    """Raised when an event is scheduled with a negative delay."""
+    """Raised when an event is scheduled with a negative or NaN delay."""
 
 
 class Event:
@@ -111,6 +118,10 @@ class Simulator:
 
     ``now`` is the current virtual time, a plain attribute: read it
     freely, but only the engine writes it.
+
+    ``reserve()`` returns the tie-break number the next :meth:`schedule`
+    would take, and pushes nothing; :meth:`schedule_reserved` pushes an
+    event under such a number later.
     """
 
     # Optional seam: when set to a callable, every Timer built on this
@@ -124,6 +135,10 @@ class Simulator:
         self._queue: list[tuple[float, int, Event]] = []
         self.now: float = 0.0
         self._counter = itertools.count()
+        # reserve() takes the tie-break number the next schedule() would
+        # take and pushes nothing; it is the counter's own __next__, so a
+        # timer bank's arm runs no Python frame for it
+        self.reserve = self._counter.__next__
         self._events_processed = 0
         self._running = False
         self._instruments = None  # see set_instruments
@@ -163,16 +178,37 @@ class Simulator:
 
         Returns the :class:`Event`, which can be cancelled.  A zero delay is
         allowed and runs after all events already scheduled for the current
-        instant.
+        instant.  A negative or NaN delay raises
+        :class:`ScheduleInPastError`: a NaN time would sort anywhere in
+        the heap and set the clock to NaN when it ran.
         """
-        if delay < 0:
-            raise ScheduleInPastError(
-                f"cannot schedule event {delay} time units in the past"
-            )
+        if not delay >= 0:
+            raise ScheduleInPastError(_delay_error(delay))
         time = self.now + delay
         seq = next(self._counter)
         event = Event(time, seq, callback, args)
         heappush(self._queue, (time, seq, event))
+        return event
+
+    def schedule_reserved(
+        self, time: float, seq: int, callback: Callable[..., None], *args: Any
+    ) -> Event:
+        """Schedule ``callback(*args)`` at absolute ``time`` under ``seq``.
+
+        ``seq`` is a number ``reserve()`` returned, used once.  The
+        event runs exactly where an event :meth:`schedule` had pushed for
+        ``time`` when ``seq`` was reserved would run.  ``time`` before
+        :attr:`now`, or NaN, raises :class:`ScheduleInPastError`.  With
+        instruments installed the push is reported to ``on_schedule``.
+        """
+        if not time >= self.now:
+            raise ScheduleInPastError(_delay_error(time - self.now))
+        event = Event(time, seq, callback, args)
+        queue = self._queue
+        heappush(queue, (time, seq, event))
+        instruments = self._instruments
+        if instruments is not None:
+            instruments.on_schedule(len(queue))
         return event
 
     def schedule_at(
@@ -206,10 +242,8 @@ class Simulator:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> Event:
         """:meth:`schedule` plus the on_schedule hook (same semantics)."""
-        if delay < 0:
-            raise ScheduleInPastError(
-                f"cannot schedule event {delay} time units in the past"
-            )
+        if not delay >= 0:
+            raise ScheduleInPastError(_delay_error(delay))
         time = self.now + delay
         seq = next(self._counter)
         event = Event(time, seq, callback, args)
@@ -402,3 +436,9 @@ class Simulator:
             heappop(queue)
             if instruments is not None:
                 instruments.on_cancel_discard()
+
+
+def _delay_error(delay: float) -> str:
+    if math.isnan(delay):
+        return "cannot schedule an event a NaN delay from now"
+    return f"cannot schedule event {delay} time units in the past"

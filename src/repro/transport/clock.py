@@ -1,8 +1,9 @@
 """A wall-clock scheduler with the simulator's scheduling interface.
 
 Everything in this library — senders, receivers, timers, ack policies —
-talks to a scheduler through three things: ``schedule(delay, fn, *args)``
-returning a cancellable handle, the ``now`` property, and nothing else.
+talks to a scheduler through ``schedule(delay, fn, *args)`` returning a
+cancellable handle, the ``now`` property, and, for timer banks,
+``reserve()`` and ``schedule_reserved(time, seq, fn, *args)``.
 :class:`RealtimeScheduler` implements that same surface over
 ``time.monotonic`` and a worker thread, so **the exact protocol endpoint
 objects that run in simulation run unchanged over real transports**
@@ -61,11 +62,33 @@ class RealtimeScheduler:
     ) -> Event:
         """Schedule ``callback(*args)`` on the worker, ``delay`` from now.
 
-        Thread-safe; a zero delay runs as soon as the worker is free.
+        Thread-safe; a zero delay runs as soon as the worker is free.  A
+        negative or NaN delay raises ValueError.
         """
-        if delay < 0:
-            raise ValueError(f"cannot schedule {delay}s in the past")
+        if not delay >= 0:
+            raise ValueError(f"cannot schedule an event {delay}s from now")
         event = Event(self.now + delay, next(self._counter), callback, args)
+        with self._lock:
+            heapq.heappush(self._heap, event)
+            self._lock.notify()
+        return event
+
+    def reserve(self) -> int:
+        """Take the tie-break number the next :meth:`schedule` would take."""
+        return next(self._counter)
+
+    def schedule_reserved(
+        self, time: float, seq: int, callback: Callable[..., None], *args: Any
+    ) -> Event:
+        """Schedule ``callback(*args)`` at ``time`` (on :attr:`now`'s scale)
+        under ``seq``, a number :meth:`reserve` returned.
+
+        Thread-safe; a ``time`` already past runs as soon as the worker is
+        free.  A NaN ``time`` raises ValueError.
+        """
+        if not time >= 0:
+            raise ValueError(f"cannot schedule an event at {time}s")
+        event = Event(time, seq, callback, args)
         with self._lock:
             heapq.heappush(self._heap, event)
             self._lock.notify()

@@ -207,6 +207,33 @@ class TestSenderValidation:
         with pytest.raises(TypeError):
             receiver.on_message(BlockAck(0, 0))
 
+    # nan "completed" with a NaN duration, inf with an infinite one, 0.0
+    # retransmitted without the clock leaving t=0, and -1.0 raised in the
+    # middle of the run, at the first arm
+    BAD_PERIODS = (float("nan"), float("inf"), 0.0, -1.0)
+
+    @pytest.mark.parametrize("period", BAD_PERIODS)
+    @pytest.mark.parametrize("protocol", ("blockack", "blockack-simple", "gobackn"))
+    def test_bad_timeout_period_rejected_at_construction(self, protocol, period):
+        from repro.protocols.registry import make_pair
+
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_pair(protocol, 4, timeout_period=period)
+
+    @pytest.mark.parametrize("period", BAD_PERIODS)
+    def test_bad_timeout_period_rejected_at_attach(self, period):
+        # a period set (or derived) after construction is checked before
+        # the run schedules anything
+        from repro.protocols.registry import make_pair
+
+        sender, receiver = make_pair("blockack", 4)
+        sender.timeout_period = period
+        with pytest.raises(ValueError, match="finite and positive"):
+            run_transfer(
+                sender, receiver, GreedySource(50),
+                forward=lossy_jitter(0.2), reverse=lossy_jitter(0.0), seed=1,
+            )
+
 
 class TestStaleAckScreen:
     def test_decoded_garbage_discarded(self, sim):

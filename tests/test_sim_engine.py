@@ -48,6 +48,38 @@ class TestScheduling:
         with pytest.raises(ScheduleInPastError):
             sim.schedule(-0.1, lambda: None)
 
+    def test_nan_delay_rejected(self, sim):
+        # a NaN time sorts anywhere in the heap and sets the clock to NaN
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ScheduleInPastError, match="NaN"):
+            sim.schedule(float("nan"), lambda: None)
+        sim.run()
+        assert sim.now == 1.0 and sim.events_processed == 1
+
+    def test_reserved_event_runs_where_its_number_puts_it(self, sim):
+        # an event pushed later under an earlier reserved number runs as if
+        # it had been scheduled when the number was taken
+        seen = []
+        sim.schedule(2.0, seen.append, "before")
+        seq = sim.reserve()
+        sim.schedule(2.0, seen.append, "after")
+        sim.schedule(1.0, lambda: sim.schedule_reserved(2.0, seq, seen.append, "reserved"))
+        sim.run()
+        assert seen == ["before", "reserved", "after"]
+        assert sim.events_processed == 4
+
+    def test_reserve_takes_the_next_schedule_number(self, sim):
+        seq = sim.reserve()
+        assert sim.schedule(0.0, lambda: None).seq == seq + 1
+
+    def test_schedule_reserved_rejects_past_and_nan_times(self, sim):
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        for time in (0.5, float("nan")):
+            with pytest.raises(ScheduleInPastError):
+                sim.schedule_reserved(time, sim.reserve(), lambda: None)
+        assert sim.pending_count == 0
+
     def test_schedule_at_absolute_time(self, sim):
         seen = []
         sim.schedule(2.0, lambda: sim.schedule_at(7.0, lambda: seen.append(sim.now)))
@@ -136,9 +168,11 @@ class TestCancellation:
         first.cancel()
         assert sim.peek_time() == 2.0  # pops the cancelled head
         assert balanced()
+        sim.schedule_reserved(3.0, sim.reserve(), lambda: None)
+        assert balanced()
         sim.run()
         assert balanced()
-        assert count("sim_events_fired_total") == 1
+        assert count("sim_events_fired_total") == 2
         assert count("sim_events_cancelled_total") == 1
 
 

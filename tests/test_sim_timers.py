@@ -1,11 +1,16 @@
 """Unit tests for restartable timers and timer banks."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.channel.delay import UniformDelay
 from repro.channel.impairments import BernoulliLoss
 from repro.protocols.registry import make_pair
 from repro.sim.runner import LinkSpec, run_transfer
 from repro.sim.timers import AdaptiveTimer, AdaptiveTimerBank, Timer, TimerBank
 from repro.workloads.sources import GreedySource
+
+from .conftest import ENGINE_VARIANTS
 
 
 class TestTimer:
@@ -164,10 +169,12 @@ class TestTimerBank:
         sim.run()
         bank.start("b", 5.0)
         bank.stop("a")
-        assert list(bank._timers) == ["b"]
+        assert bank.active_keys() == ["b"]
+        assert not bank.running("a") and bank.running("b")
         bank.start("c", 5.0)
         bank.stop_all()
-        assert bank._timers == {}
+        assert bank.active_keys() == []
+        assert not bank.running("b") and not bank.running("c")
         sim.run()
         assert fired == ["a"]
 
@@ -183,7 +190,11 @@ class TestTimerBank:
         )
         assert result.completed and result.in_order
         assert result.sender_stats["retransmissions"] > 0
-        assert sender._timers._timers == {}
+        bank = sender._timers
+        assert bank.active_keys() == []
+        assert not any(bank.running(seq) for seq in range(3000))
+        # no key and no stopped arming is left behind in the bank's heap
+        assert not bank._live and not bank._heap
 
 
 class TestBankTimerNames:
@@ -369,3 +380,183 @@ class TestAdaptiveTimerBank:
         bank.start("k", 2.0)
         sim.run()
         assert fired == [2.0]
+
+
+BAD_PERIODS = (-1.0, float("nan"), float("inf"))
+
+
+class TestInvalidPeriods:
+    """A bad period is refused before it touches the running arming."""
+
+    @pytest.mark.parametrize("period", BAD_PERIODS)
+    def test_timer_restart_keeps_the_running_arming(self, sim, period):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(2.0)
+        with pytest.raises(ValueError):
+            timer.restart(period)
+        assert timer.running and timer.expires_at == 2.0
+        sim.run()
+        assert fired == [2.0]
+
+    @pytest.mark.parametrize("period", BAD_PERIODS)
+    def test_bank_rearm_keeps_the_running_arming(self, sim, period):
+        fired = []
+        bank = TimerBank(sim, lambda key: fired.append((key, sim.now)))
+        bank.start("a", 2.0)
+        with pytest.raises(ValueError):
+            bank.start("a", period)
+        with pytest.raises(ValueError):
+            bank.start("b", period)
+        assert bank.active_keys() == ["a"]
+        sim.run()
+        assert fired == [("a", 2.0)]
+
+    @pytest.mark.parametrize("period", BAD_PERIODS)
+    def test_bank_rejects_bad_default_periods(self, sim, period):
+        with pytest.raises(ValueError):
+            AdaptiveTimerBank(sim, lambda key: None, period=period)
+        bank = AdaptiveTimerBank(sim, lambda key: None, period_fn=lambda key: period)
+        with pytest.raises(ValueError):
+            bank.start(0)
+        assert bank.active_keys() == []
+
+    def test_bank_without_a_period_of_its_own_needs_one(self, sim):
+        with pytest.raises(TypeError):
+            TimerBank(sim, lambda key: None).start(0)
+        with pytest.raises(ValueError):
+            AdaptiveTimerBank(sim, lambda key: None)
+
+
+class _TimerPerKey:
+    """The reference for :class:`TimerBank`: one plain :class:`Timer` per key.
+
+    Keys are known from their first arm until they are stopped, and
+    ``stop_all`` stops them in that order, as the bank's contract says.
+    """
+
+    def __init__(self, sim, callback, name, period):
+        self._sim = sim
+        self._callback = callback
+        self._name = name
+        self._period = period
+        self._timers = {}
+
+    def start(self, key, period=None):
+        timer = self._timers.get(key)
+        if timer is None:
+            timer = Timer(
+                self._sim, self._callback, key, name=f"{self._name}[{key!r}]"
+            )
+            timer.key = key
+            self._timers[key] = timer
+        timer.start(self._period if period is None else period)
+
+    def stop(self, key):
+        timer = self._timers.pop(key, None)
+        if timer is not None:
+            timer.stop()
+
+    def stop_many(self, keys):
+        for key in keys:
+            self.stop(key)
+
+    def stop_all(self):
+        for timer in self._timers.values():
+            timer.stop()
+        self._timers.clear()
+
+    def running(self, key):
+        timer = self._timers.get(key)
+        return timer is not None and timer.running
+
+    def active_keys(self):
+        return [key for key, timer in self._timers.items() if timer.running]
+
+
+_KEYS = st.integers(0, 5)
+#: every time is a sum of these, so deadlines, events and run bounds meet
+_STEPS = (0.0, 0.5, 1.0, 2.0, 4.0)
+_PROGRAM = st.lists(
+    st.one_of(
+        st.tuples(st.just("arm"), _KEYS),
+        st.tuples(st.just("arm"), _KEYS, st.sampled_from((0.0, 0.5, 1.0, 3.5))),
+        st.tuples(st.just("stop"), _KEYS),
+        st.tuples(st.just("stop_many"), st.lists(_KEYS, max_size=4)),
+        st.tuples(st.just("stop_all")),
+        st.tuples(st.just("event"), st.sampled_from(_STEPS)),
+        st.tuples(st.just("run"), st.sampled_from(_STEPS)),
+        st.tuples(st.just("step")),
+    ),
+    max_size=40,
+)
+
+
+class _Side:
+    """One simulator driven through a program, with what it reports."""
+
+    PERIOD = 4.0
+
+    def __init__(self, variant, make_bank, observed):
+        self.sim = sim = ENGINE_VARIANTS[variant]()
+        self.log = []
+        self.stream = []
+        self.refires = 0
+        if observed:
+            sim.timer_observer = lambda op, timer: self.stream.append(
+                (op, sim.now, timer.name, timer.expires_at)
+            )
+        self.bank = make_bank(sim, self._on_fire, "retx", self.PERIOD)
+
+    def _on_fire(self, key):
+        self.log.append(("fire", key, self.sim.now))
+        if key == 0 and self.refires < 2:  # a timeout handler re-arming
+            self.refires += 1
+            self.bank.start(key, 1.0)
+
+    def apply(self, op, index):
+        sim, bank = self.sim, self.bank
+        kind = op[0]
+        if kind == "arm":
+            bank.start(*op[1:])
+        elif kind == "stop":
+            bank.stop(op[1])
+        elif kind == "stop_many":
+            bank.stop_many(op[1])
+        elif kind == "stop_all":
+            bank.stop_all()
+        elif kind == "event":
+            sim.schedule(op[1], lambda: self.log.append(("event", index, sim.now)))
+        elif kind == "run":
+            sim.run(until=None if op[1] is None else sim.now + op[1])
+        else:
+            sim.step()
+
+    def state(self):
+        sim, bank = self.sim, self.bank
+        return (
+            self.log, self.stream, sim.events_processed, sim.now,
+            sim.peek_time(), bank.active_keys(),
+            [bank.running(key) for key in range(6)],
+        )
+
+
+class TestBankActsAsTimerPerKey:
+    """A bank fires, reports and schedules exactly like one Timer per key."""
+
+    @pytest.mark.parametrize("variant", sorted(ENGINE_VARIANTS))
+    @settings(max_examples=150, deadline=None)
+    @given(program=_PROGRAM, observed=st.booleans())
+    def test_same_program_same_run(self, variant, program, observed):
+        bank = _Side(
+            variant,
+            lambda sim, callback, name, period: AdaptiveTimerBank(
+                sim, callback, name=name, period=period
+            ),
+            observed,
+        )
+        reference = _Side(variant, _TimerPerKey, observed)
+        for index, op in enumerate(program + [("run", None)]):
+            bank.apply(op, index)
+            reference.apply(op, index)
+            assert bank.state() == reference.state(), (index, op)

@@ -81,6 +81,26 @@ class TestRealtimeScheduler:
             with pytest.raises(ValueError):
                 clock.schedule(-1.0, lambda: None)
 
+    def test_nan_delay_and_time_rejected(self):
+        with RealtimeScheduler() as clock:
+            with pytest.raises(ValueError):
+                clock.schedule(float("nan"), lambda: None)
+            with pytest.raises(ValueError):
+                clock.schedule_reserved(float("nan"), clock.reserve(), lambda: None)
+
+    def test_reserved_event_runs_in_order(self):
+        # the clock surface timer banks use: a number reserved first and
+        # pushed last runs before a later number due at the same time
+        order = []
+        done = threading.Event()
+        with RealtimeScheduler() as clock:
+            seq = clock.reserve()
+            due = clock.now + 0.05
+            clock.schedule_reserved(due, clock.reserve(), lambda: (order.append("b"), done.set()))
+            clock.schedule_reserved(due, seq, order.append, "a")
+            assert done.wait(timeout=2.0)
+        assert order == ["a", "b"]
+
 
 class TestUdpTransport:
     def test_round_trip_messages(self):
