@@ -35,7 +35,7 @@ import json
 import pathlib
 import platform
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "run_microbenchmarks",
@@ -411,8 +411,10 @@ def run_profile(
     Writes a raw ``transfer.prof`` (loadable with :mod:`pstats` or
     snakeviz) and a ``transfer.txt`` whose header gives the function
     calls per delivered message (a deterministic count of the
-    per-message path's length), followed by the ``top`` hottest
-    functions by cumulative and by internal time.  ``observed.prof``
+    per-message path's length) and the engine schedules per delivered
+    message (calls to ``Simulator.schedule``, its instrumented twin and
+    ``schedule_reserved``, also deterministic), followed by the ``top``
+    hottest functions by cumulative and by internal time.  ``observed.prof``
     and ``observed.txt`` do the same for the transfer micro with obs
     and causal telemetry on (the ``observed-w8`` configuration), and
     ``session.prof`` and ``session.txt`` for the shared-link path (the
@@ -464,7 +466,9 @@ def _profile(
     buffer.write(
         f"cProfile: {title}, {delivered} messages delivered\n"
         "function calls per delivered message: "
-        f"{stats.total_calls / delivered:.1f}\n\n"
+        f"{stats.total_calls / delivered:.1f}\n"
+        "engine schedules per delivered message: "
+        f"{_schedule_calls(stats) / delivered:.2f}\n\n"
     )
     stats.sort_stats("cumulative")
     buffer.write(f"--- top {top} by cumulative time ---\n")
@@ -475,6 +479,20 @@ def _profile(
     txt_path = outdir / f"{stem}.txt"
     txt_path.write_text(buffer.getvalue())
     return [prof_path, txt_path]
+
+
+#: the engine's ways of pushing an event, counted in every profile header
+_SCHEDULE_CALLS = ("schedule", "_schedule_instrumented", "schedule_reserved")
+
+
+def _schedule_calls(stats: Any) -> int:
+    """Calls into the engine's schedule entry points in a profile's stats."""
+    return sum(
+        calls
+        for (filename, _, name), (_, calls, *_) in stats.stats.items()
+        if name in _SCHEDULE_CALLS
+        and pathlib.PurePath(filename).parts[-3:] == ("repro", "sim", "engine.py")
+    )
 
 
 def update_bench_json(

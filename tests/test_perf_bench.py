@@ -158,5 +158,8 @@ def test_run_profile_writes_dumps(tmp_path):
         label, _, value = header.partition(": ")
         assert label == "function calls per delivered message"
         assert 0 < float(value) < 1000
+        label, _, value = report.splitlines()[2].partition(": ")
+        assert label == "engine schedules per delivered message"
+        assert 0 < float(value) < 10
         assert "cumulative" in report and "internal" in report
         assert (tmp_path / f"{stem}.prof").stat().st_size > 0
