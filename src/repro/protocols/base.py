@@ -103,6 +103,9 @@ class SenderEndpoint(ABC):
     actor_name = "sender"
 
     def __init__(self) -> None:
+        # an instance attribute from the start, so a host's per-flow
+        # rename updates an existing name (the class value is the default)
+        self.actor_name = type(self).actor_name
         self.sim: Optional[Simulator] = None
         self.tx: Optional[Channel] = None
         self.trace = NullRecorder()
@@ -152,6 +155,8 @@ class ReceiverEndpoint(ABC):
     actor_name = "receiver"
 
     def __init__(self) -> None:
+        # see SenderEndpoint.__init__
+        self.actor_name = type(self).actor_name
         self.sim: Optional[Simulator] = None
         self.tx: Optional[Channel] = None  # reverse channel (acks)
         self.trace = NullRecorder()

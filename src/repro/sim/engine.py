@@ -15,8 +15,8 @@ Design notes
   it, and only the engine writes it (the drain loops and ``step`` set it
   to each event's time, ``run(until=)`` and ``run_while(max_time=)``
   advance it to their bound).  Endpoints, channels and timers read it
-  several times per message, so a read is one instance-dict lookup
-  rather than a property call.
+  several times per message, so a read is one attribute load rather
+  than a property call.
 * Ties in event time are broken by insertion order, which makes executions
   deterministic given a seeded random number generator.  Determinism is
   load-bearing: the trace-equivalence experiment (E7) replays two protocol
@@ -126,11 +126,13 @@ class Simulator:
 
     # Optional seam: when set to a callable, every Timer built on this
     # simulator reports arms/cancels/fires as ``timer_observer(op, timer)``
-    # (see repro.sim.timers).  A class attribute so the off-path cost is
-    # one attribute read; the event loop itself never consults it.
+    # (see repro.sim.timers).  The off-path cost is one attribute read;
+    # the event loop itself never consults it.  The class attribute is
+    # the documented default; __init__ sets the instance's own.
     timer_observer = None
 
     def __init__(self) -> None:
+        self.timer_observer: Optional[Callable[[str, Any], None]] = None
         # entries are (time, seq, Event); see the module design notes
         self._queue: list[tuple[float, int, Event]] = []
         self.now: float = 0.0
@@ -232,11 +234,16 @@ class Simulator:
         instrumented body once per call — with no instruments installed,
         every hot path is byte-for-byte the code above.
         """
+        installed = self._instruments is not None
         self._instruments = instruments
+        # ``schedule`` is the only name not set in __init__, and the
+        # class's shared key table always has room for one late name, so
+        # the simulator's attributes stay inline (DESIGN §10)
         if instruments is None:
-            self.__dict__.pop("schedule", None)
-        else:
-            self.__dict__["schedule"] = self._schedule_instrumented
+            if installed:
+                del self.schedule
+        elif not installed:
+            self.schedule = self._schedule_instrumented
 
     def _schedule_instrumented(
         self, delay: float, callback: Callable[..., None], *args: Any

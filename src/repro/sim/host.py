@@ -341,7 +341,7 @@ class _FlowHarness:
 
     __slots__ = (
         "index", "spec", "forward_port", "reverse_port", "delivered_payloads",
-        "latencies", "monitor", "original_submit", "submit_was_instance_attr",
+        "latencies", "monitor", "timed_submit",
     )
 
     def __init__(self, index: int, spec: FlowSpec) -> None:
@@ -352,8 +352,7 @@ class _FlowHarness:
         self.delivered_payloads: List[Any] = []
         self.latencies: List[float] = []
         self.monitor = None
-        self.original_submit: Optional[Callable] = None
-        self.submit_was_instance_attr = False
+        self.timed_submit: Optional[Callable[[Any], int]] = None
 
     @property
     def finished(self) -> bool:
@@ -511,13 +510,11 @@ class SessionHost:
 
         try:
             for flow in self.flows:
-                flow.spec.source.attach(sim, flow.spec.sender)
+                flow.spec.source.attach(sim, flow.spec.sender, flow.timed_submit)
             sim.run_while(
                 unfinished, max_time=self.max_time, max_events=self.max_events
             )
         finally:
-            for flow in self.flows:
-                self._restore_submit(flow)
             if self.fault_plan is not None:
                 # put the channels' own loss models back: a plan-wrapped
                 # brownout left installed (e.g. one scheduled around a
@@ -657,17 +654,16 @@ class SessionHost:
             # each channel through its corruption/outage interceptor
             self.fault_plan.install(sim, forward, reverse, sender, receiver)
 
-        # submit is wrapped (to timestamp each payload for the latency
-        # stats) for the duration of the run only; _restore_submit puts
-        # the original binding back so a sender reused across runs does
-        # not stack wrappers
-        flow.submit_was_instance_attr = "submit" in vars(sender)
-        original_submit = flow.original_submit = sender.submit
+        # the source hands every payload to timed_submit, which
+        # timestamps it around the sender's own submit: the host never
+        # patches the sender, so a reused sender keeps its binding and
+        # its attributes stay inline (DESIGN §10)
+        sender_submit = sender.submit
 
         if observed:
 
             def timed_submit(payload: Any) -> int:
-                seq = original_submit(payload)
+                seq = sender_submit(payload)
                 now = submit_times[seq] = sim.now
                 if track_submit is not None:
                     track_submit(seq, now)
@@ -678,11 +674,11 @@ class SessionHost:
         else:
 
             def timed_submit(payload: Any) -> int:
-                seq = original_submit(payload)
+                seq = sender_submit(payload)
                 submit_times[seq] = sim.now
                 return seq
 
-        sender.submit = timed_submit
+        flow.timed_submit = timed_submit
 
     def _attach_monitors(
         self, flow, forward, reverse, flow_recorder, obs_session
@@ -712,15 +708,6 @@ class SessionHost:
                 registry=None if obs_session is None else obs_session.registry,
                 recorder=None if obs_session is None else flow_recorder,
             )
-
-    @staticmethod
-    def _restore_submit(flow) -> None:
-        if flow.original_submit is None:
-            return
-        if flow.submit_was_instance_attr:
-            flow.spec.sender.submit = flow.original_submit
-        else:
-            vars(flow.spec.sender).pop("submit", None)
 
     # ------------------------------------------------------------------
     # results

@@ -4,7 +4,11 @@ A source decides *when* payloads are handed to the sender; the sender's
 window decides when they may actually be transmitted.  Sources interact
 with any :class:`~repro.protocols.base.SenderEndpoint` through two hooks:
 
-* they call ``sender.submit(payload)`` while ``sender.can_accept``;
+* they hand each payload to a submit function while
+  ``sender.can_accept``: ``sender.submit`` unless :meth:`Source.attach`
+  was given another (the session host passes one that timestamps each
+  payload and then calls ``sender.submit``, so it never patches the
+  sender);
 * they register on ``sender.on_window_open`` so queued work resumes the
   moment acknowledgments reopen the window.
 
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.protocols.base import SenderEndpoint
 from repro.sim.engine import Simulator
@@ -41,11 +45,22 @@ class Source(ABC):
         self.submitted: List[Any] = []
         self.sim: Optional[Simulator] = None
         self.sender: Optional[SenderEndpoint] = None
+        self._submit: Optional[Callable[[Any], Any]] = None
 
-    def attach(self, sim: Simulator, sender: SenderEndpoint) -> None:
-        """Bind to the simulator and sender, and start generating."""
+    def attach(
+        self,
+        sim: Simulator,
+        sender: SenderEndpoint,
+        submit: Optional[Callable[[Any], Any]] = None,
+    ) -> None:
+        """Bind to the simulator and sender, and start generating.
+
+        Every payload goes to ``submit``, which defaults to
+        ``sender.submit`` read now.
+        """
         self.sim = sim
         self.sender = sender
+        self._submit = submit if submit is not None else sender.submit
         sender.on_window_open = self._on_window_open
         self._start()
 
@@ -70,12 +85,12 @@ class Source(ABC):
         return ("msg", len(self.submitted))
 
     def _submit_one(self) -> None:
-        sender = self.sender
-        if sender is None:
+        submit = self._submit
+        if submit is None:
             raise RuntimeError("source used before attach()")
         payload = self._make_payload()
         self.submitted.append(payload)
-        sender.submit(payload)
+        submit(payload)
 
     @abstractmethod
     def _start(self) -> None:

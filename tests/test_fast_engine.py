@@ -201,6 +201,30 @@ class TestInstrumentSwap:
         def on_cancel_discard(self):
             self.discards += 1
 
+    def test_install_remove_reinstall_and_spare_remove(self):
+        """``schedule`` is the lean method exactly while no instruments
+        are installed; a swap keeps the twin, and removing with none
+        installed is a no-op."""
+        sim = Simulator()
+        lean, twin = Simulator.schedule, Simulator._schedule_instrumented
+        first, second = self._Instruments(), self._Instruments()
+        assert sim.schedule.__func__ is lean
+        sim.set_instruments(first)
+        assert sim.schedule.__func__ is twin
+        sim.set_instruments(None)
+        assert sim.schedule.__func__ is lean
+        sim.set_instruments(first)
+        sim.set_instruments(second)
+        assert sim.schedule.__func__ is twin
+        sim.schedule(1.0, lambda: None)
+        assert (len(first.schedules), len(second.schedules)) == (0, 1)
+        sim.set_instruments(None)
+        sim.set_instruments(None)
+        assert sim.schedule.__func__ is lean
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert len(second.schedules) == 1 and second.fires == []
+
     def test_mid_run_attach_defers_drain_hooks_to_next_run(self, sim):
         """The drain body is bound once per ``run()`` call: a mid-run
         attach does not reach the current drain, but the *schedule*

@@ -116,8 +116,9 @@ class TestResultFields:
 
 
 class TestSubmitRestore:
-    """run_transfer wraps sender.submit for latency timing; the wrapper
-    must not outlive the call (regression: wrappers used to stack)."""
+    """run_transfer times each submission through a wrapper it hands the
+    source, never by patching sender.submit, so nothing outlives the call
+    (regression: wrappers used to stack)."""
 
     def test_submit_not_left_in_instance_dict(self):
         sender = BlockAckSender(4)

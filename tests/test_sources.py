@@ -54,6 +54,48 @@ class TestGreedySource:
             GreedySource(-1)
 
 
+class TestAttachSubmit:
+    """``attach(sim, sender, submit)`` routes every payload through
+    ``submit``; without it the source calls ``sender.submit``."""
+
+    @staticmethod
+    def _wired(sim):
+        from repro.channel.channel import Channel
+
+        sender = BlockAckSender(4, timeout_period=3.0)
+        receiver = BlockAckReceiver(4)
+        forward, reverse = Channel(sim), Channel(sim)
+        sender.attach(sim, forward)
+        receiver.attach(sim, reverse)
+        forward.connect(receiver.on_message)
+        reverse.connect(sender.on_message)
+        return sender
+
+    def test_submit_function_gets_every_payload(self, sim):
+        sender = self._wired(sim)
+        routed = []
+
+        def submit(payload):
+            routed.append(payload)
+            return sender.submit(payload)
+
+        source = GreedySource(25)
+        source.attach(sim, sender, submit=submit)
+        sim.run()
+        assert routed == source.submitted == [("msg", i) for i in range(25)]
+        assert sender.stats.submitted == 25
+        assert "submit" not in vars(sender)
+
+    def test_default_is_sender_submit(self, sim):
+        sender = self._wired(sim)
+        source = GreedySource(25)
+        source.attach(sim, sender)
+        assert source._submit == sender.submit
+        sim.run()
+        assert sender.stats.submitted == 25
+        assert sender.all_acknowledged
+
+
 class TestListSource:
     def test_submits_the_list_in_order(self):
         payloads = [b"x%d" % i for i in range(30)]
