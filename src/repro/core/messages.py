@@ -25,9 +25,13 @@ Every frame a transfer sends builds one of these values, so the data,
 ack and envelope types have a hand-written ``__init__`` with the
 generated one's parameters that fills ``self.__dict__`` directly; the
 generated frozen ``__init__`` pays one ``object.__setattr__`` call per
-field.  They are deliberately not ``NamedTuple``s: tuple equality would
-make ``BlockAck(1, 2)`` equal to ``(1, 2, False)`` and to any other wire
-type with the same fields.
+field.  That gives each message a real dict instead of the inline
+attribute layout, so its reads are dict probes; a variant that built
+them inline with ``object.__setattr__`` was 1.0% slower on the
+``bulk-w8`` benchmark, because the faster reads do not pay for the
+slower construction (DESIGN §10).  They are deliberately not
+``NamedTuple``s: tuple equality would make ``BlockAck(1, 2)`` equal to
+``(1, 2, False)`` and to any other wire type with the same fields.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ class DataMessage:
     attempt: int = 0
 
     def __init__(self, seq: int, payload: Any = None, attempt: int = 0) -> None:
-        fields = self.__dict__
+        fields = self.__dict__  # lint: ignore[S304] — construction cost, measured (module docs)
         fields["seq"] = seq
         fields["payload"] = payload
         fields["attempt"] = attempt
@@ -104,7 +108,7 @@ class BlockAck:
     urgent: bool = field(default=False, compare=False)
 
     def __init__(self, lo: int, hi: int, urgent: bool = False) -> None:
-        fields = self.__dict__
+        fields = self.__dict__  # lint: ignore[S304] — construction cost, measured (module docs)
         fields["lo"] = lo
         fields["hi"] = hi
         fields["urgent"] = urgent
@@ -132,7 +136,7 @@ class CumulativeAck:
     seq: int
 
     def __init__(self, seq: int) -> None:
-        self.__dict__["seq"] = seq
+        self.__dict__["seq"] = seq  # lint: ignore[S304] — construction cost, measured (module docs)
 
     def __str__(self) -> str:
         return f"CACK({self.seq})"
@@ -183,7 +187,7 @@ class FlowEnvelope:
     message: Any
 
     def __init__(self, flow: int, fseq: int, message: Any) -> None:
-        fields = self.__dict__
+        fields = self.__dict__  # lint: ignore[S304] — construction cost, measured (module docs)
         fields["flow"] = flow
         fields["fseq"] = fseq
         fields["message"] = message

@@ -12,6 +12,9 @@ artifacts that no per-file linter can see together:
 * :class:`ObsSchemaConformanceRule` (S303) — every field name emitted
   into a typed obs record exists in the pinned
   :mod:`repro.obs.schema` field tables (required or optional).
+* :class:`InstanceDictRule` (S304) — no ``vars(obj)`` or
+  ``obj.__dict__``: either one gives up the inline attribute layout
+  the per-message objects rely on.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.lint.registry import Rule, register
 __all__ = [
     "TimerSeamRule",
     "ObsSchemaConformanceRule",
+    "InstanceDictRule",
 ]
 
 _SCHEMA_MODULE = "repro.obs.schema"
@@ -205,3 +209,59 @@ class ObsSchemaConformanceRule(Rule):
             f"field `{field}` emitted for record type `{rec_type}` is not "
             "pinned in repro.obs.schema (_FIELDS/_OPTIONAL_FIELDS)",
         )
+
+
+# ---------------------------------------------------------------------------
+# S304: instance dicts stay unmaterialized
+# ---------------------------------------------------------------------------
+
+
+@register
+class InstanceDictRule(Rule):
+    id = "S304"
+    summary = "do not read an instance dict with vars(obj) or obj.__dict__"
+    rationale = (
+        "CPython 3.11 and 3.12 keep instance attributes inline, named by "
+        "a key table all instances of the class share, so `self.window` "
+        "is a direct slot load. `vars(obj)` or `obj.__dict__` builds a "
+        "real dict for that instance, and from then on every attribute "
+        "read of it probes the dict, about 3x slower per read. On an "
+        "endpoint or the simulator that is paid on every message. Read "
+        "attributes by name; suppress with a reason where the cost is "
+        "measured or off the per-message path."
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "vars"
+                and len(node.args) == 1
+            ):
+                yield self.finding(
+                    ctx.path, node.lineno, node.col_offset,
+                    "`vars(obj)` materializes the instance dict; read "
+                    "the attributes by name",
+                )
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__dict__"
+                and not _is_type_call(node.value)
+            ):
+                yield self.finding(
+                    ctx.path, node.lineno, node.col_offset,
+                    "`obj.__dict__` materializes the instance dict; read "
+                    "the attributes by name (a class namespace, "
+                    "`type(obj).__dict__`, is fine)",
+                )
+
+
+def _is_type_call(node: ast.expr) -> bool:
+    """True for ``type(x)``: its ``__dict__`` is the class namespace."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "type"
+        and len(node.args) == 1
+    )

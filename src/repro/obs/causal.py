@@ -609,7 +609,7 @@ class CausalRecorder:
         )
         if window is not None:
             try:
-                attrs = vars(window)
+                attrs = vars(window)  # lint: ignore[S304] — once per trigger, off the message path
             except TypeError:  # slotted window books
                 attrs = {
                     slot: getattr(window, slot, None)

@@ -47,7 +47,7 @@ class TestRegistry:
         ids = rule_ids()
         assert {"D101", "D102", "D103", "D104", "D105"} <= set(ids)
         assert {"P201", "P202"} <= set(ids)
-        assert {"S302", "S303"} <= set(ids)
+        assert {"S302", "S303", "S304"} <= set(ids)
         assert "S301" not in ids
 
     def test_every_rule_has_summary_and_rationale(self):
@@ -556,6 +556,47 @@ class TestS302TimerSeam:
             """
         )
         assert "S302" not in rules_fired(findings)
+
+
+# ---------------------------------------------------------------------------
+# S304: instance dicts stay unmaterialized
+# ---------------------------------------------------------------------------
+
+
+class TestS304InstanceDict:
+    def test_fires_on_vars_and_dunder_dict(self):
+        findings = run(
+            """
+            def snapshot(sender):
+                patched = "submit" in vars(sender)
+                sender.__dict__["schedule"] = None
+                return patched
+            """
+        )
+        s304 = [f for f in findings if f.rule == "S304"]
+        assert [f.line for f in s304] == [3, 4]
+
+    def test_suppressed(self):
+        findings = run(
+            """
+            def snapshot(sender):
+                patched = "submit" in vars(sender)  # lint: ignore[S304]
+                sender.__dict__["schedule"] = None  # lint: ignore[S304]
+                return patched
+            """
+        )
+        assert "S304" not in rules_fired(findings)
+
+    def test_false_positive_guard_class_namespace_and_bare_vars(self):
+        findings = run(
+            """
+            def snapshot(sender):
+                patched = "submit" in type(sender).__dict__
+                local_names = vars()
+                return patched, getattr(sender, "submit", None), local_names
+            """
+        )
+        assert "S304" not in rules_fired(findings)
 
 
 # ---------------------------------------------------------------------------
