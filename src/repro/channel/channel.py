@@ -22,6 +22,7 @@ paper's abstract protocol, whose guard reads channel contents (e.g.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
@@ -100,8 +101,10 @@ class Channel:
         duplicate_probability: float = 0.0,
         name: str = "channel",
     ) -> None:
-        if max_lifetime is not None and max_lifetime <= 0:
-            raise ValueError(f"max_lifetime must be positive, got {max_lifetime}")
+        if max_lifetime is not None and not 0 < max_lifetime < math.inf:
+            raise ValueError(
+                f"max_lifetime must be None or finite and positive, got {max_lifetime}"
+            )
         if not 0.0 <= duplicate_probability <= 1.0:
             raise ValueError(
                 f"duplicate_probability must be in [0, 1], got {duplicate_probability}"

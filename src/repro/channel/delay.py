@@ -19,6 +19,7 @@ prescribes ("a mechanism for aging messages in transit").
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
 from typing import Optional
@@ -63,8 +64,8 @@ class ConstantDelay(DelayModel):
     __slots__ = ("delay",)
 
     def __init__(self, delay: float = 1.0) -> None:
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
+        if not 0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and non-negative, got {delay}")
         self.delay = delay
 
     def sample(self, rng: random.Random) -> float:
@@ -92,8 +93,10 @@ class UniformDelay(DelayModel):
     __slots__ = ("low", "high")
 
     def __init__(self, low: float, high: float) -> None:
-        if not 0 <= low <= high:
-            raise ValueError(f"need 0 <= low <= high, got [{low}, {high}]")
+        if not 0 <= low < math.inf:
+            raise ValueError(f"low must be finite and non-negative, got {low}")
+        if not low <= high < math.inf:
+            raise ValueError(f"high must be finite and at least low, got [{low}, {high}]")
         self.low = low
         self.high = high
 
@@ -124,10 +127,10 @@ class ExponentialDelay(DelayModel):
     __slots__ = ("mean", "offset", "_rate")
 
     def __init__(self, mean: float, offset: float = 0.0) -> None:
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
-        if offset < 0:
-            raise ValueError(f"offset must be non-negative, got {offset}")
+        if not 0 < mean < math.inf:
+            raise ValueError(f"mean must be finite and positive, got {mean}")
+        if not 0 <= offset < math.inf:
+            raise ValueError(f"offset must be finite and non-negative, got {offset}")
         self.mean = mean
         self.offset = offset
         self._rate = 1.0 / mean  # same division, hoisted off the hot path

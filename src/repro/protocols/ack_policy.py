@@ -24,6 +24,7 @@ Policies must guarantee a bounded worst-case acknowledgment latency
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Callable, Optional
 
@@ -80,8 +81,8 @@ class DelayedAckPolicy(AckPolicy):
 
     def __init__(self, delay: float) -> None:
         super().__init__()
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
+        if not 0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and non-negative, got {delay}")
         self.delay = delay
         self._timer: Optional[Timer] = None
 
@@ -115,8 +116,10 @@ class CountingAckPolicy(AckPolicy):
         super().__init__()
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be non-negative, got {max_delay}")
+        if not 0 <= max_delay < math.inf:
+            raise ValueError(
+                f"max_delay must be finite and non-negative, got {max_delay}"
+            )
         self.threshold = threshold
         self.backstop = max_delay
         self._timer: Optional[Timer] = None

@@ -1,5 +1,7 @@
 """Tests for receiver acknowledgment policies."""
 
+import math
+
 import pytest
 
 from repro.protocols.ack_policy import (
@@ -54,6 +56,13 @@ class TestDelayedAckPolicy:
         with pytest.raises(ValueError):
             DelayedAckPolicy(-0.1)
 
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, delay):
+        # a NaN delay used to surface at attach or mid-run, under the
+        # name of the sender's timeout_period or of the timer's period
+        with pytest.raises(ValueError, match="delay must be finite"):
+            DelayedAckPolicy(delay)
+
     def test_rearms_after_flush(self, sim):
         flushes = []
         policy = DelayedAckPolicy(0.5)
@@ -97,3 +106,8 @@ class TestCountingAckPolicy:
             CountingAckPolicy(0, 1.0)
         with pytest.raises(ValueError):
             CountingAckPolicy(2, -1.0)
+
+    @pytest.mark.parametrize("max_delay", [math.nan, math.inf])
+    def test_non_finite_max_delay_rejected(self, max_delay):
+        with pytest.raises(ValueError, match="max_delay must be finite"):
+            CountingAckPolicy(4, max_delay)

@@ -1,5 +1,6 @@
 """Unit tests for the simulated channel."""
 
+import math
 import random
 
 import pytest
@@ -109,6 +110,22 @@ class TestAging:
     def test_invalid_lifetime_rejected(self, sim):
         with pytest.raises(ValueError):
             Channel(sim, max_lifetime=0.0)
+
+    @pytest.mark.parametrize("lifetime", [math.nan, math.inf])
+    def test_non_finite_lifetime_rejected(self, sim, lifetime):
+        # NaN used to pass (nan <= 0 is false) and run with aging off
+        with pytest.raises(ValueError, match="max_lifetime must be None or finite"):
+            Channel(sim, max_lifetime=lifetime)
+
+    def test_link_spec_nan_lifetime_rejected_before_the_run(self):
+        from repro import BlockAckReceiver, BlockAckSender, GreedySource, LinkSpec
+        from repro.sim.runner import run_transfer
+
+        link = LinkSpec(delay=UniformDelay(0.5, 1.5), max_lifetime=math.nan)
+        sender, receiver = BlockAckSender(4), BlockAckReceiver(4)
+        with pytest.raises(ValueError, match="max_lifetime"):
+            run_transfer(sender, receiver, GreedySource(5), forward=link)
+        assert sender.stats.data_sent == 0
 
     def test_effective_max_lifetime_min_of_bounds(self, sim):
         channel = Channel(sim, delay=ConstantDelay(3.0), max_lifetime=5.0)

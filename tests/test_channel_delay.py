@@ -30,6 +30,11 @@ class TestConstantDelay:
         with pytest.raises(ValueError):
             ConstantDelay(-1.0)
 
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_non_finite_rejected(self, delay):
+        with pytest.raises(ValueError, match="delay must be finite"):
+            ConstantDelay(delay)
+
 
 class TestUniformDelay:
     def test_samples_within_range(self, rng):
@@ -59,6 +64,19 @@ class TestUniformDelay:
         with pytest.raises(ValueError):
             UniformDelay(-1.0, 1.0)
 
+    def test_infinite_high_rejected(self):
+        with pytest.raises(ValueError, match="high must be finite"):
+            UniformDelay(0.5, math.inf)
+
+    @pytest.mark.parametrize("low", [math.nan, math.inf])
+    def test_non_finite_low_rejected(self, low):
+        with pytest.raises(ValueError, match="low must be finite"):
+            UniformDelay(low, 1.0)
+
+    def test_nan_high_rejected(self):
+        with pytest.raises(ValueError, match="high must be finite"):
+            UniformDelay(0.5, math.nan)
+
 
 class TestExponentialDelay:
     def test_samples_at_least_offset(self, rng):
@@ -84,6 +102,18 @@ class TestExponentialDelay:
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError):
             ExponentialDelay(1.0, offset=-0.1)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, mean):
+        # a NaN mean used to pass and raise ScheduleInPastError at the
+        # first send; an infinite one gave every message an infinite delay
+        with pytest.raises(ValueError, match="mean must be finite"):
+            ExponentialDelay(mean=mean)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf])
+    def test_non_finite_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            ExponentialDelay(1.0, offset=offset)
 
 
 class TestReorderProbability:
