@@ -84,7 +84,6 @@ class TestAttachSubmit:
         sim.run()
         assert routed == source.submitted == [("msg", i) for i in range(25)]
         assert sender.stats.submitted == 25
-        assert "submit" not in vars(sender)
 
     def test_default_is_sender_submit(self, sim):
         sender = self._wired(sim)
